@@ -114,7 +114,12 @@ def _as_int(value) -> int:
     return value.expand() if isinstance(value, PrimePowerFactorization) else value
 
 
-def _bench_task(task, method_table, ns, reps, warmup) -> list[BenchRecord]:
+def _bench_task(task, method_table, ns, reps, warmup, smallest) -> list[BenchRecord]:
+    if not ns:
+        raise DomainError("no n to bench: the n list is empty")
+    for n in ns:
+        if n < smallest:
+            raise DomainError(f"{task.value} bench requires n >= {smallest}, got {n}")
     if reps < 3:
         raise DomainError(f"reps must be >= 3, got {reps}")
     if warmup < 1:
@@ -176,7 +181,7 @@ def bench_row_methods(
     injection in tests.
     """
     table = dict(methods) if methods is not None else _row_methods(caps)
-    return _bench_task(Task.ROW_LCM, table, ns, reps, warmup)
+    return _bench_task(Task.ROW_LCM, table, ns, reps, warmup, 0)
 
 
 def bench_range_methods(
@@ -189,7 +194,7 @@ def bench_range_methods(
 ) -> list[BenchRecord]:
     """Time the range-lcm routes (gcd fold vs factorization)."""
     table = dict(methods) if methods is not None else _range_methods(caps)
-    return _bench_task(Task.RANGE_LCM, table, ns, reps, warmup)
+    return _bench_task(Task.RANGE_LCM, table, ns, reps, warmup, 1)
 
 
 def write_bench_csv(records, stream) -> None:

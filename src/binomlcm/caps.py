@@ -41,6 +41,12 @@ class ResourceCaps:
     fold_range_n: int = 100_000
     valuation_n: int = 1_000_000
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"resource cap {field.name} must be >= 0, got {value}")
+
     def replace(self, **overrides) -> "ResourceCaps":
         return dataclasses.replace(self, **overrides)
 

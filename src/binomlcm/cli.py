@@ -35,9 +35,9 @@ from .caps import ResourceCaps
 from .digits import decimal_digits, decimal_str
 from .engine import lcm_range, row_lcm_farhi, row_lcm_naive, row_lcm_valuation
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
-from .identities import Theorem, chain_range, verify_range
+from .identities import Theorem, verify_range
 
-_THEOREM_CHOICES = ["1", "2", "3", "4", "5", "termwise", "chain", "all"]
+# In the fixed order of --theorem all, so CI logs are reproducible.
 _THEOREM_BY_FLAG = {
     "1": Theorem.T1,
     "2": Theorem.T2,
@@ -45,9 +45,8 @@ _THEOREM_BY_FLAG = {
     "4": Theorem.T4,
     "5": Theorem.T5,
     "termwise": Theorem.TERMWISE,
+    "chain": Theorem.CHAIN,
 }
-# Fixed order for --theorem all, so CI logs are reproducible.
-_ALL_ORDER = ["1", "2", "3", "4", "5", "termwise", "chain"]
 
 _CAP_FLAGS = {
     "max_sieve": "sieve_limit",
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_row_lcm)
 
     p = sub.add_parser("verify", parents=[cap_parent], help="verify identities over a range of n")
-    p.add_argument("--theorem", choices=_THEOREM_CHOICES, required=True)
+    p.add_argument("--theorem", choices=[*_THEOREM_BY_FLAG, "all"], required=True)
     p.add_argument("--from", dest="first", type=int, required=True, metavar="A")
     p.add_argument("--to", dest="last", type=int, required=True, metavar="B")
     p.set_defaults(handler=_cmd_verify)
@@ -165,17 +164,6 @@ def _cmd_row_lcm(args, caps) -> int:
     return 0
 
 
-def _verify_selection(args, caps) -> list:
-    flags = _ALL_ORDER if args.theorem == "all" else [args.theorem]
-    reports = []
-    for flag in flags:
-        if flag == "chain":
-            reports.extend(chain_range(args.first, args.last, caps=caps))
-        else:
-            reports.extend(verify_range(_THEOREM_BY_FLAG[flag], args.first, args.last, caps=caps))
-    return reports
-
-
 def _report_ok(report) -> bool:
     return report.all_equal if hasattr(report, "all_equal") else report.holds
 
@@ -220,7 +208,8 @@ def _verify_csv_row(report) -> list[str]:
 
 
 def _cmd_verify(args, caps) -> int:
-    reports = _verify_selection(args, caps)
+    flags = _THEOREM_BY_FLAG if args.theorem == "all" else [args.theorem]
+    reports = verify_range([_THEOREM_BY_FLAG[f] for f in flags], args.first, args.last, caps=caps)
     if args.format == "plain":
         for report in reports:
             print(_verify_plain_line(report))

@@ -272,8 +272,9 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     The exponent of p is the largest v_p(C(n,k)) over the half row
     k <= floor(n/2), which by the row symmetry C(n,n-k) = C(n,k) is the
     maximum over the whole row; max_binomial_valuation computes it from
-    the base-p digits of n without enumerating k. Scales to n around
-    10^5, far past where row materialization stops being feasible.
+    the base-p digits of n without enumerating k. Scales to the default
+    valuation cap of n = 10^6, far past where row materialization stops
+    being feasible.
     """
     if n < 0:
         raise DomainError("row_lcm_valuation requires n >= 0")

@@ -10,15 +10,15 @@ The identities, in the ids used throughout this package:
     T5 (half row)  n * lcm(C(n-1,0), ..., C(n-1,floor((n-1)/2))) = lcm(1..n)
     TERMWISE       t * C(n,t) = n * C(n-1,t-1), the per-term identity
                    behind T4
+    CHAIN          T1 -> T4 -> T3 -> lcm(1..n), the four linked quantities
 
-T4 is the bridge that makes T1 and T3 equivalent: its left side is
-T1's left side and its right side is T3's left side. The report
-builders here realize that structurally, not just numerically; the two
-shared quantities are computed by the same code paths. Everywhere else
-the two sides of a report go through maximally independent routes
-(e.g. no left side ever touches the prime-power factorization that
-produces the right side), so a single bug cannot silently hold an
-identity up.
+Each identity is one registry entry fed by one shared Pascal row sweep;
+a single n is the range [n, n]. T4 is the bridge that makes T1 and T3
+equivalent: its left side is T1's left side and its right side is T3's
+left side, here the very same cached per-n values. Everywhere else the
+two sides of a report go through maximally independent routes (e.g. no
+left side ever touches the prime-power factorization that produces the
+right side), so a single bug cannot silently hold an identity up.
 
 A false identity is data (holds == False in the report), never an
 exception; batch sweeps always run to completion so failures are fully
@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_str
@@ -40,7 +41,6 @@ from .engine import (
     _fold_half_row_lcm,
     _fold_row_lcm,
     _fold_weighted_lcm,
-    binomial_row,
     iter_binomial_rows,
     lcm_range,
     row_lcm_farhi,
@@ -48,18 +48,8 @@ from .engine import (
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
-    "Theorem",
-    "IdentityReport",
-    "EquivalenceChainReport",
-    "verify_nair",
-    "verify_farhi",
-    "verify_theorem3",
-    "verify_theorem4",
-    "verify_theorem5",
-    "termwise_identity",
-    "equivalence_chain",
-    "verify_range",
-    "chain_range",
+    "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "verify_farhi", "verify_theorem3",
+    "verify_theorem4", "verify_theorem5", "termwise_identity", "equivalence_chain", "verify_range", "chain_range",
 ]
 
 
@@ -70,6 +60,7 @@ class Theorem(Enum):
     T4 = "T4"
     T5 = "T5"
     TERMWISE = "TERMWISE"
+    CHAIN = "CHAIN"
 
 
 # Provenance labels carried on every report.
@@ -142,7 +133,7 @@ class EquivalenceChainReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "theorem": "CHAIN",
+            "theorem": Theorem.CHAIN.value,
             "n": self.n,
             "q_nair": decimal_str(self.q_nair),
             "q_thm4_rhs": decimal_str(self.q_thm4_rhs),
@@ -152,160 +143,153 @@ class EquivalenceChainReport:
         }
 
 
-# --- report builders ------------------------------------------------------
-# Single-n entry points and range sweeps share these, so "same quantity,
-# same code path" holds no matter how a report was produced.
+# --- registry and sweep ---------------------------------------------------
+# One entry per identity: the smallest n it is stated for, whether it reads
+# row n or only row n-1, and a builder from the shared per-n facts.
 
 
-def _scaled_prev_lcm(n: int, prev: BinomialRow) -> int:
-    # T4's right side and T3's left side, one code path for both.
-    return n * _fold_row_lcm(prev)
+@dataclass
+class _Facts:
+    """The quantities at n that several identities share, each built once."""
+
+    n: int
+    prev: BinomialRow | None  # row n-1; None at n = 0
+    row: BinomialRow | None  # row n; None when no selected identity reads it
+    caps: ResourceCaps
+
+    @cached_property
+    def weighted_lcm(self) -> int:
+        return _fold_weighted_lcm(self.row)
+
+    @cached_property
+    def prev_lcm(self) -> int:
+        return _fold_row_lcm(self.prev)
+
+    @cached_property
+    def scaled_prev_lcm(self) -> int:
+        return self.n * self.prev_lcm
+
+    @cached_property
+    def range_lcm(self) -> int:
+        return lcm_range(self.n, caps=self.caps).expand()
 
 
-def _nair_report(row: BinomialRow, caps: ResourceCaps) -> IdentityReport:
-    n = row.n
-    return IdentityReport.build(
-        Theorem.T1,
-        n,
-        _fold_weighted_lcm(row),
-        lcm_range(n, caps=caps).expand(),
-        _M_WEIGHTED,
-        _M_RANGE_FACT,
-    )
-
-
-def _farhi_report(row: BinomialRow, caps: ResourceCaps) -> IdentityReport:
-    return IdentityReport.build(
-        Theorem.T2,
-        row.n,
-        _fold_row_lcm(row),
-        row_lcm_farhi(row.n, caps=caps),
-        _M_ROW_FOLD,
-        _M_FARHI_QUOT,
-    )
-
-
-def _theorem3_report(prev: BinomialRow, caps: ResourceCaps) -> IdentityReport:
-    n = prev.n + 1
-    return IdentityReport.build(
-        Theorem.T3,
-        n,
-        _scaled_prev_lcm(n, prev),
-        lcm_range(n, caps=caps).expand(),
-        _M_SCALED_PREV,
-        _M_RANGE_FACT,
-    )
-
-
-def _theorem4_report(prev: BinomialRow, row: BinomialRow) -> IdentityReport:
-    n = row.n
-    return IdentityReport.build(
-        Theorem.T4,
-        n,
-        _fold_weighted_lcm(row),
-        _scaled_prev_lcm(n, prev),
-        _M_WEIGHTED,
-        _M_SCALED_PREV,
-    )
-
-
-def _theorem5_report(prev: BinomialRow, caps: ResourceCaps) -> IdentityReport:
-    n = prev.n + 1
-    half = _fold_half_row_lcm(prev)
+def _theorem5_report(f: _Facts) -> IdentityReport:
+    half = _fold_half_row_lcm(f.prev)
     # Sub-check: by symmetry the half row must already carry the full
     # row's lcm. A violation is a library bug, not a failed identity.
-    full = _fold_row_lcm(prev)
-    if half != full:
-        raise InternalConsistencyError(
-            f"half-row lcm {half} != full-row lcm {full} for row {prev.n}"
-        )
-    return IdentityReport.build(
-        Theorem.T5,
-        n,
-        n * half,
-        lcm_range(n, caps=caps).expand(),
-        _M_HALF_ROW,
-        _M_RANGE_FACT,
-    )
+    if half != f.prev_lcm:
+        raise InternalConsistencyError(f"half-row lcm {half} != full-row lcm {f.prev_lcm} for row {f.prev.n}")
+    return IdentityReport.build(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
 
 
-def _termwise_report(n: int) -> IdentityReport:
-    # Exhaustive over t; on failure the report carries the first
-    # mismatching pair instead of the (then meaningless) totals.
-    lhs_total = 0
-    rhs_total = 0
-    for t in range(1, n + 1):
-        lhs = t * math.comb(n, t)
-        rhs = n * math.comb(n - 1, t - 1)
-        if lhs != rhs:
-            return IdentityReport.build(
-                Theorem.TERMWISE,
-                n,
-                lhs,
-                rhs,
-                f"t*C(n,t) at first failing t={t}",
-                f"n*C(n-1,t-1) at first failing t={t}",
-            )
-        lhs_total += lhs
-        rhs_total += rhs
-    return IdentityReport.build(
-        Theorem.TERMWISE, n, lhs_total, rhs_total, _M_TERM_LHS, _M_TERM_RHS
-    )
+def _termwise_report(f: _Facts) -> IdentityReport:
+    # Left side read off the Pascal-built row, right side from math.comb.
+    # On failure the report carries the first mismatching pair instead of
+    # the (then meaningless) totals.
+    n = f.n
+    lhs = [t * f.row[t] for t in range(1, n + 1)]
+    rhs = [n * math.comb(n - 1, t - 1) for t in range(1, n + 1)]
+    if lhs != rhs:
+        t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])
+        at = f"at first failing t={t}"
+        return IdentityReport.build(Theorem.TERMWISE, n, lhs[t - 1], rhs[t - 1], f"t*C(n,t) {at}", f"n*C(n-1,t-1) {at}")
+    return IdentityReport.build(Theorem.TERMWISE, n, sum(lhs), sum(rhs), _M_TERM_LHS, _M_TERM_RHS)
 
 
-def _chain_report(prev: BinomialRow, row: BinomialRow, caps: ResourceCaps) -> EquivalenceChainReport:
-    n = row.n
-    return EquivalenceChainReport.build(
-        n,
-        _fold_weighted_lcm(row),
-        _scaled_prev_lcm(n, prev),
-        lcm_range(n, caps=caps).expand(),
-    )
+class _Entry(NamedTuple):
+    first: int  # smallest n the identity is stated for
+    reads_row: bool  # needs row n, not just row n-1
+    build: Callable[[_Facts], IdentityReport | EquivalenceChainReport]
+
+
+_REGISTRY = {
+    Theorem.T1: _Entry(1, True, lambda f: IdentityReport.build(
+        Theorem.T1, f.n, f.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
+    Theorem.T2: _Entry(0, True, lambda f: IdentityReport.build(
+        Theorem.T2, f.n, _fold_row_lcm(f.row), row_lcm_farhi(f.n, caps=f.caps), _M_ROW_FOLD, _M_FARHI_QUOT)),
+    Theorem.T3: _Entry(1, False, lambda f: IdentityReport.build(
+        Theorem.T3, f.n, f.scaled_prev_lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
+    Theorem.T4: _Entry(1, True, lambda f: IdentityReport.build(
+        Theorem.T4, f.n, f.weighted_lcm, f.scaled_prev_lcm, _M_WEIGHTED, _M_SCALED_PREV)),
+    Theorem.T5: _Entry(1, False, _theorem5_report),
+    Theorem.TERMWISE: _Entry(1, True, _termwise_report),
+    Theorem.CHAIN: _Entry(1, True, lambda f: EquivalenceChainReport.build(
+        f.n, f.weighted_lcm, f.scaled_prev_lcm, f.range_lcm)),
+}
+_NAMES = {Theorem.CHAIN: "equivalence chain"}
+
+
+def verify_range(
+    theorems: Theorem | str | Sequence[Theorem | str], first: int, last: int, *, caps: ResourceCaps = DEFAULT_CAPS
+) -> list:
+    """One report per theorem and n in [first, last], never short-circuiting.
+
+    `theorems` is one id or a sequence of ids; the reports come grouped
+    by theorem in the order given, each group in increasing n. A single
+    incremental Pascal sweep serves every theorem, so a range costs the
+    same row work as building its last row once. When no selected
+    theorem reads row n, rows are built only through last - 1.
+    """
+    theorems = [Theorem(t) for t in ([theorems] if isinstance(theorems, (Theorem, str)) else theorems)]
+    entries = [_REGISTRY[t] for t in theorems]
+    if not entries:
+        raise DomainError("no theorem selected")
+    if first > last:
+        raise DomainError(f"empty range: from {first} > to {last}")
+    for theorem, entry in zip(theorems, entries):
+        if first < entry.first:
+            name = _NAMES.get(theorem, theorem.value)
+            raise DomainError(f"{name} requires n >= {entry.first}, got from={first}")
+
+    reads_row = any(e.reads_row for e in entries)
+    groups: list[list] = [[] for _ in entries]
+    prev = None
+    for row in iter_binomial_rows(last if reads_row else last - 1, caps=caps):
+        facts = _Facts(row.n, prev, row, caps) if reads_row else _Facts(row.n + 1, row, None, caps)
+        if facts.n >= first:
+            for group, entry in zip(groups, entries):
+                group.append(entry.build(facts))
+        prev = row
+    return [report for group in groups for report in group]
+
+
+def chain_range(first: int, last: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[EquivalenceChainReport]:
+    """equivalence_chain over [first, last] with one shared row sweep."""
+    return verify_range(Theorem.CHAIN, first, last, caps=caps)
 
 
 # --- single-n verification ------------------------------------------------
 
 
-def _require_positive(n: int, what: str) -> None:
-    if n < 1:
-        raise DomainError(f"{what} requires n >= 1, got {n}")
-
-
 def verify_nair(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T1 at n: weighted-row fold against the range factorization."""
-    _require_positive(n, "T1")
-    return _nair_report(binomial_row(n, caps=caps), caps)
+    return verify_range(Theorem.T1, n, n, caps=caps)[0]
 
 
 def verify_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T2 at n (n = 0 included): row fold against the exact quotient."""
-    if n < 0:
-        raise DomainError(f"T2 requires n >= 0, got {n}")
-    return _farhi_report(binomial_row(n, caps=caps), caps)
+    return verify_range(Theorem.T2, n, n, caps=caps)[0]
 
 
 def verify_theorem3(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T3 at n: n times the previous row's lcm against lcm(1..n)."""
-    _require_positive(n, "T3")
-    return _theorem3_report(binomial_row(n - 1, caps=caps), caps)
+    return verify_range(Theorem.T3, n, n, caps=caps)[0]
 
 
 def verify_theorem4(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T4 at n: the bridge; weighted row against n times the previous row."""
-    _require_positive(n, "T4")
-    rows = iter_binomial_rows(n, caps=caps)
-    prev = None
-    for row in rows:
-        if row.n == n:
-            return _theorem4_report(prev, row)
-        prev = row
-    raise AssertionError("unreachable")
+    return verify_range(Theorem.T4, n, n, caps=caps)[0]
 
 
 def verify_theorem5(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T5 at n: half of the previous row suffices, by row symmetry."""
-    _require_positive(n, "T5")
-    return _theorem5_report(binomial_row(n - 1, caps=caps), caps)
+    return verify_range(Theorem.T5, n, n, caps=caps)[0]
+
+
+def equivalence_chain(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> EquivalenceChainReport:
+    """All four chained quantities at n, with their pairwise equality."""
+    return verify_range(Theorem.CHAIN, n, n, caps=caps)[0]
 
 
 def termwise_identity(n: int, t: int) -> bool:
@@ -313,93 +297,3 @@ def termwise_identity(n: int, t: int) -> bool:
     if t < 1 or t > n:
         raise DomainError(f"termwise identity requires 1 <= t <= n, got n={n}, t={t}")
     return t * math.comb(n, t) == n * math.comb(n - 1, t - 1)
-
-
-def equivalence_chain(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> EquivalenceChainReport:
-    """All four chained quantities at n, with their pairwise equality."""
-    _require_positive(n, "equivalence chain")
-    rows = iter_binomial_rows(n, caps=caps)
-    prev = None
-    for row in rows:
-        if row.n == n:
-            return _chain_report(prev, row, caps)
-        prev = row
-    raise AssertionError("unreachable")
-
-
-# --- range sweeps ---------------------------------------------------------
-
-
-_FROM_MIN = {t: 1 for t in Theorem}
-_FROM_MIN[Theorem.T2] = 0
-
-
-def _check_range(first: int, last: int, minimum: int, what: str) -> None:
-    if first > last:
-        raise DomainError(f"empty range: from {first} > to {last}")
-    if first < minimum:
-        raise DomainError(f"{what} requires n >= {minimum}, got from={first}")
-
-
-def _rows_through(last: int, caps: ResourceCaps) -> Iterator[BinomialRow]:
-    return iter_binomial_rows(last, caps=caps)
-
-
-def verify_range(
-    theorem: Theorem | str,
-    first: int,
-    last: int,
-    *,
-    caps: ResourceCaps = DEFAULT_CAPS,
-) -> list[IdentityReport]:
-    """One report per n in [first, last], never short-circuiting.
-
-    Rows are built by a single incremental Pascal sweep, so verifying a
-    range costs the same row work as building the final row once.
-    """
-    theorem = Theorem(theorem) if not isinstance(theorem, Theorem) else theorem
-    _check_range(first, last, _FROM_MIN[theorem], theorem.value)
-
-    if theorem is Theorem.TERMWISE:
-        return [_termwise_report(n) for n in range(first, last + 1)]
-
-    reports = []
-    if theorem is Theorem.T1:
-        for row in _rows_through(last, caps):
-            if row.n >= first:
-                reports.append(_nair_report(row, caps))
-    elif theorem is Theorem.T2:
-        for row in _rows_through(last, caps):
-            if row.n >= first:
-                reports.append(_farhi_report(row, caps))
-    elif theorem is Theorem.T3:
-        for prev in _rows_through(last - 1, caps):
-            if prev.n + 1 >= first:
-                reports.append(_theorem3_report(prev, caps))
-    elif theorem is Theorem.T4:
-        prev = None
-        for row in _rows_through(last, caps):
-            if row.n >= first:
-                reports.append(_theorem4_report(prev, row))
-            prev = row
-    elif theorem is Theorem.T5:
-        for prev in _rows_through(last - 1, caps):
-            if prev.n + 1 >= first:
-                reports.append(_theorem5_report(prev, caps))
-    else:
-        raise AssertionError(f"unhandled theorem {theorem}")
-    return reports
-
-
-def chain_range(
-    first: int, last: int, *, caps: ResourceCaps = DEFAULT_CAPS
-) -> list[EquivalenceChainReport]:
-    """equivalence_chain over [first, last] with one shared row sweep."""
-    _check_range(first, last, 1, "equivalence chain")
-    reports = []
-    prev = None
-    for row in _rows_through(last, caps):
-        if row.n >= first:
-            reports.append(_chain_report(prev, row, caps))
-        prev = row
-    return reports

@@ -180,6 +180,20 @@ class TestBench:
         code, _, err = invoke(capsys, "bench", "row", "--ns", "4,x", "--reps", "3")
         assert code == 2
 
+    def test_empty_ns_list_is_an_error(self, capsys):
+        code, out, err = invoke(capsys, "bench", "row", "--ns", ",", "--reps", "3")
+        assert code == 2 and out == "" and "n list is empty" in err
+
+    def test_range_n_zero_refused_up_front(self, capsys, monkeypatch):
+        import binomlcm.bench as bench_mod
+
+        timed = []
+        monkeypatch.setattr(bench_mod, "lcm_range", lambda n, caps: timed.append(n) or 1)
+        code, out, err = invoke(capsys, "bench", "range", "--ns", "5,0", "--reps", "3")
+        assert code == 2 and out == ""
+        assert "range_lcm bench requires n >= 1, got 0" in err
+        assert timed == []  # refused before n = 5 was attested or timed
+
 
 class TestUsageAndCaps:
     def test_no_arguments(self, capsys):
@@ -203,6 +217,16 @@ class TestUsageAndCaps:
         monkeypatch.setenv("BINOMLCM_MAX_ROW", "5")
         code, out, _ = invoke(capsys, "row-lcm", "10", "--method", "naive", "--max-row", "100")
         assert code == 0 and out.strip() == str(brute_range_lcm(11) // 11)
+
+    @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold", "--max-valuation"])
+    def test_negative_cap_flag_refused(self, capsys, flag):
+        code, out, err = invoke(capsys, "lcm-range", "10", flag, "-1")
+        assert code == 2 and out == "" and "must be >= 0, got -1" in err
+
+    def test_negative_env_cap_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("BINOMLCM_MAX_ROW", "-5")
+        code, out, err = invoke(capsys, "row-lcm", "4")
+        assert code == 2 and out == "" and "full_row_n must be >= 0, got -5" in err
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("BINOMLCM_MAX_ROW", "many")

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomlcm import (
     DomainError,
+    EquivalenceChainReport,
     IdentityReport,
     Theorem,
     chain_range,
@@ -19,7 +22,8 @@ from binomlcm import (
     verify_theorem4,
     verify_theorem5,
 )
-from helpers import brute_range_lcm, brute_row_lcm, brute_weighted_row_lcm, fold_lcm
+from binomlcm.cli import run
+from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm
 
 
 class TestNair:
@@ -219,6 +223,74 @@ class TestVerifyRange:
         assert all(r.holds for r in reports)
         # On success both sides carry the checked totals.
         assert reports[3].lhs == sum(t * math.comb(4, t) for t in range(1, 5))
+
+
+# Both sides of every report, from the oracles in helpers.py only.
+ORACLE_SIDES = {
+    Theorem.T1: lambda n: (brute_weighted_row_lcm(n), brute_range_lcm(n)),
+    Theorem.T2: lambda n: (brute_row_lcm(n), brute_range_lcm(n + 1) // (n + 1)),
+    Theorem.T3: lambda n: (n * brute_row_lcm(n - 1), brute_range_lcm(n)),
+    Theorem.T4: lambda n: (brute_weighted_row_lcm(n), n * brute_row_lcm(n - 1)),
+    Theorem.T5: lambda n: (n * brute_row_lcm(n - 1), brute_range_lcm(n)),
+    Theorem.TERMWISE: lambda n: (
+        sum(t * c for t, c in enumerate(brute_row(n))),
+        n * sum(brute_row(n - 1)),
+    ),
+    Theorem.CHAIN: lambda n: (
+        brute_weighted_row_lcm(n),
+        n * brute_row_lcm(n - 1),
+        n * brute_row_lcm(n - 1),
+        brute_range_lcm(n),
+    ),
+}
+
+
+def report_sides(report):
+    if isinstance(report, EquivalenceChainReport):
+        return report.q_nair, report.q_thm4_rhs, report.q_thm3_lhs, report.q_range
+    return report.lhs, report.rhs
+
+
+class TestSweep:
+    @given(
+        st.lists(st.sampled_from(list(Theorem)), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=6),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_differential_against_oracles_and_single_theorem_calls(self, theorems, first, span):
+        if set(theorems) != {Theorem.T2}:
+            first = max(first, 1)  # only T2 is stated at n = 0
+        last = first + span
+        reports = verify_range(theorems, first, last)
+        assert reports == [r for t in theorems for r in verify_range(t, first, last)]
+        expected = [(t, n) for t in theorems for n in range(first, last + 1)]
+        assert [r.n for r in reports] == [n for _, n in expected]
+        for (theorem, n), report in zip(expected, reports):
+            assert report_sides(report) == ORACLE_SIDES[theorem](n), (theorem, n)
+            if isinstance(report, IdentityReport):
+                assert report.theorem is theorem and report.holds
+
+    def test_range_checks_run_up_front_in_the_order_given(self):
+        with pytest.raises(DomainError, match="^T1 requires n >= 1, got from=0$"):
+            verify_range([Theorem.T2, Theorem.T1, Theorem.CHAIN], 0, 3)
+        with pytest.raises(DomainError, match="^equivalence chain requires n >= 1, got from=0$"):
+            verify_range([Theorem.T2, Theorem.CHAIN, Theorem.T1], 0, 3)
+        with pytest.raises(DomainError, match="no theorem"):
+            verify_range([], 1, 3)
+
+    @pytest.mark.parametrize(
+        "theorem,code", [("3", 0), ("5", 0), ("1", 3), ("termwise", 3), ("all", 3)]
+    )
+    def test_row_cap_edge(self, capsys, theorem, code):
+        # T3 and T5 read only row n-1, so n = cap + 1 stays admitted.
+        argv = ["verify", "--theorem", theorem, "--from", "1", "--to", "11", "--max-row", "10"]
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "binomial row n 11 exceeds the configured cap 10" in err
+        else:
+            assert len(out.splitlines()) == 11 and err == ""
 
 
 class TestReportContracts:
