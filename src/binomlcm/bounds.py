@@ -1,7 +1,9 @@
 """Growth checks for lcm(1..n): classical bounds and the psi ratio.
 
-Checked bounds, each by exact big-integer comparison (the powers are
-built exactly; no floats decide a flag):
+Checked bounds, each decided exactly by integer arithmetic: 2^k <= x
+by the bit length of x, and x <= 3^n by the bit length where that
+settles it, otherwise against 3^n built exactly. No float decides a
+flag.
 
     2^(n-1) <= lcm(1..n)        for all n >= 1
     2^n     <= lcm(1..n)        for n >= 9 (recorded but not required
@@ -9,9 +11,9 @@ built exactly; no floats decide a flag):
     lcm(1..n) <= 3^n            for all n >= 1
 
 The one floating-point quantity is psi_over_n = ln(lcm(1..n)) / n,
-computed from the factorization as sum e*ln(p) via compensated
-summation. It tracks the classical log lcm(1..n) ~ n growth and is
-reporting data only, never a pass/fail criterion.
+computed from the factorization as the correctly rounded sum of the
+float terms e*ln(p). It tracks the classical log lcm(1..n) ~ n growth
+and is reporting data only, never a pass/fail criterion.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import decimal_digits
+from .digits import advance_digit_count, decimal_digits
 from .engine import lcm_range
 from .errors import DomainError
 
@@ -85,13 +87,22 @@ def format_psi(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _record(n: int, lcm_value: int, psi: float) -> BoundsRecord:
+# A lower bound on log2(3) = 1.58496250072115618145..., so 2^(n*num//den) <= 3^n.
+_LOG2_3_NUM = 15849625007211561814
+_LOG2_3_DEN = 10**19
+
+
+def _record(n: int, lcm_value: int, lcm_digits: int, psi: float) -> BoundsRecord:
+    # 2^k <= x exactly when x has more than k bits. With 2^k <= 3^n, a
+    # value of at most k bits is below 3^n; only a longer one is compared
+    # with 3^n itself.
+    bits = lcm_value.bit_length()
     return BoundsRecord(
         n=n,
-        lcm_digits=decimal_digits(lcm_value),
-        lower_2nm1_holds=(1 << (n - 1)) <= lcm_value,
-        lower_2n_holds=(1 << n) <= lcm_value,
-        upper_3n_holds=lcm_value <= 3**n,
+        lcm_digits=lcm_digits,
+        lower_2nm1_holds=bits >= n,
+        lower_2n_holds=bits > n,
+        upper_3n_holds=bits <= n * _LOG2_3_NUM // _LOG2_3_DEN or lcm_value <= 3**n,
         psi_over_n=psi / n,
     )
 
@@ -101,7 +112,18 @@ def check_bounds(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BoundsRecord:
     if n < 1:
         raise DomainError(f"check_bounds requires n >= 1, got {n}")
     factorization = lcm_range(n, caps=caps)
-    return _record(n, factorization.expand(), factorization.log_value())
+    value = factorization.expand()
+    return _record(n, value, decimal_digits(value), factorization.log_value())
+
+
+# Every finite double is an integer multiple of 2**-1074.
+_UNITS_PER_ONE = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """The finite double x >= 0 as an exact integer count of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
 def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[BoundsRecord]:
@@ -109,8 +131,16 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
 
     One pass holds the running lcm: lcm(1..n) gains exactly one factor
     p whenever n is a prime power p^a, so each step is a smallest-
-    prime-factor lookup plus at most one small multiplication. Far
-    cheaper than calling check_bounds per sample point.
+    prime-factor lookup plus at most one small multiplication, and the
+    factors gained between two samples reach the running lcm in one
+    multiplication. Everything else a record needs is kept the same way,
+    so a sample costs constant work beyond that multiplication:
+
+    * the digit count, against a running next power of ten;
+    * psi, the sum of the float terms e*ln(p), held exactly as an integer
+      in units of 2**-1074 (every finite double is a whole number of
+      them); one correctly rounded division gives the same float as
+      math.fsum over all the terms.
     """
     if step < 1:
         raise DomainError(f"psi_table requires step >= 1, got {step}")
@@ -119,13 +149,13 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     check_cap(max_n, caps.sieve_limit, "psi table max_n")
 
     spf = _smallest_prime_factors(max_n)
-    log_cache: dict[int, float] = {}
-    exponents: dict[int, int] = {}
+    terms: dict[int, int] = {}  # p -> e*ln(p) in units of 2**-1074
+    psi_units = 0
     running = 1
+    gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
+    digits = 1
+    next_ten = 10  # 10**digits, the smallest power of ten above running
     records = []
-    # 3^n advanced by a fixed factor per sample; exact, no pow at huge n.
-    three_step = 3**step
-    three_n = 1
     for n in range(1, max_n + 1):
         p = spf[n] if n >= 2 else 0
         if p:
@@ -135,23 +165,16 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
                 m //= p
                 a += 1
             if m == 1:  # n is the prime power p^a
-                exponents[p] = a
-                running *= p
-                if p not in log_cache:
-                    log_cache[p] = math.log(p)
+                gained *= p
+                term = _units(a * math.log(p))
+                psi_units += term - terms.get(p, 0)
+                terms[p] = term
         if n % step == 0:
-            three_n *= three_step
-            psi = math.fsum(e * log_cache[q] for q, e in exponents.items())
-            records.append(
-                BoundsRecord(
-                    n=n,
-                    lcm_digits=decimal_digits(running),
-                    lower_2nm1_holds=(1 << (n - 1)) <= running,
-                    lower_2n_holds=(1 << n) <= running,
-                    upper_3n_holds=running <= three_n,
-                    psi_over_n=psi / n,
-                )
-            )
+            if gained > 1:
+                running *= gained
+                gained = 1
+                digits, next_ten = advance_digit_count(running, digits, next_ten)
+            records.append(_record(n, running, digits, psi_units / _UNITS_PER_ONE))
     return records
 
 

@@ -127,11 +127,10 @@ def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
 
 
 def _emit_value(args, n: int, value: int, extra: dict) -> None:
-    digits = decimal_digits(value)
     if args.format == "plain":
-        print(digits if args.digits_only else decimal_str(value))
+        print(decimal_digits(value) if args.digits_only else decimal_str(value))
         return
-    doc = {"n": n, **extra, "digits": digits}
+    doc = {"n": n, **extra, "digits": decimal_digits(value)}
     if not args.digits_only:
         doc["value"] = decimal_str(value)
     if args.format == "json":

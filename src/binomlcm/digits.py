@@ -1,38 +1,98 @@
-"""Decimal rendering of huge exact integers.
+"""Decimal digit counts and decimal rendering of huge exact integers.
 
-Range lcms reach tens of thousands of decimal digits. CPython guards
-int -> str conversion with an interpreter-wide digit limit (default
-4300), so plain str() raises on exactly the values this library exists
-to produce. decimal_str() lifts the limit just far enough, on demand.
+Range and row lcms reach hundreds of thousands of decimal digits.
+Everything here is pure: nothing reads or changes process-wide state
+such as CPython's int -> str digit limit, and the Decimal route sets
+its precision in a local copy of the thread's decimal context.
+
+* decimal_digits() counts digits exactly without rendering anything: a
+  lower bound from the bit length, then one or two comparisons with a
+  power of ten.
+* decimal_str() renders with plain str() below _STR_MAX_BITS, where
+  every allowed digit limit admits the value. Above it, a divide-and-
+  conquer conversion to decimal.Decimal lets libmpdec do the large
+  multiplications; str() of a Decimal has no digit limit, and the
+  conversion is subquadratic where int -> str on Python 3.11 is
+  quadratic.
 """
 
 from __future__ import annotations
 
-import sys
+import decimal
 
-# log10(2) rounded up: bit_length * 30103 // 100000 never undershoots by
-# more than one digit, so the +16 slack below is ample.
-_LOG10_2_NUM = 30103
-_LOG10_2_DEN = 100000
+# A lower bound on log10(2) = 0.30102999566398119521373..., so a digit
+# estimate built from it never overshoots.
+_LOG10_2_NUM = 30102999566398119521
+_LOG10_2_DEN = 10**20
 
+# At most 603 digits: below CPython's smallest settable digit limit (640),
+# so str() accepts every value up to this size whatever the limit is.
+_STR_MAX_BITS = 2000
 
-def decimal_digit_bound(x: int) -> int:
-    """Upper bound on the decimal digit count of ``x`` (cheap, no str)."""
-    if x == 0:
-        return 1
-    return abs(x).bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 2
-
-
-def decimal_str(x: int) -> str:
-    """``str(x)`` that works for integers of any size."""
-    try:
-        return str(x)
-    except ValueError:
-        # int_max_str_digits guard; raise it process-wide and retry.
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), decimal_digit_bound(x) + 16))
-        return str(x)
+# Chunks this small go to Decimal(int) directly.
+_CHUNK_BITS = 1024
 
 
 def decimal_digits(x: int) -> int:
-    """Exact decimal digit count of ``abs(x)``."""
-    return len(decimal_str(abs(x)))
+    """Exact decimal digit count of ``abs(x)``; 1 for 0."""
+    return advance_digit_count(abs(x) or 1, 1, 10)[0]
+
+
+def advance_digit_count(x: int, digits: int, power: int) -> tuple[int, int]:
+    """``(d, 10**d)`` for the digit count d of ``x >= 1``.
+
+    Starts from any known ``digits <= d`` with ``power == 10**digits``, so
+    a caller whose value only grows can carry the pair along.
+    """
+    # 2**(bits-1) <= x, so this count never overshoots; the comparisons
+    # then step it up once or, at worst, twice.
+    at_least = (x.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN + 1
+    if at_least > digits:
+        power *= 10 ** (at_least - digits)
+        digits = at_least
+    while x >= power:
+        power *= 10
+        digits += 1
+    return digits, power
+
+
+def decimal_str(x: int) -> str:
+    """``str(x)`` for integers of any size, whatever the digit limit."""
+    if x.bit_length() <= _STR_MAX_BITS:
+        return str(x)
+    return str(_to_decimal(x))
+
+
+def _to_decimal(x: int) -> decimal.Decimal:
+    # Split x at half its bit width: x = hi * 2**w + lo, recursively, with
+    # each 2**w built once per call. Inexact is trapped, so a conversion
+    # that lost a digit raises instead of printing a wrong value.
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _CHUNK_BITS:
+                result = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                result = pow2(half) * pow2(w - half)
+            powers[w] = result
+        return result
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _CHUNK_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        result = convert(abs(x), x.bit_length())
+        return -result if x < 0 else result

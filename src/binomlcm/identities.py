@@ -156,14 +156,19 @@ class _Facts:
     prev: BinomialRow | None  # row n-1; None at n = 0
     row: BinomialRow | None  # row n; None when no selected identity reads it
     caps: ResourceCaps
+    known_prev_lcm: int | None = None  # fold of row n-1, when the facts at n-1 made it
 
     @cached_property
     def weighted_lcm(self) -> int:
         return _fold_weighted_lcm(self.row)
 
     @cached_property
+    def row_lcm(self) -> int:
+        return _fold_row_lcm(self.row)
+
+    @cached_property
     def prev_lcm(self) -> int:
-        return _fold_row_lcm(self.prev)
+        return _fold_row_lcm(self.prev) if self.known_prev_lcm is None else self.known_prev_lcm
 
     @cached_property
     def scaled_prev_lcm(self) -> int:
@@ -207,7 +212,7 @@ _REGISTRY = {
     Theorem.T1: _Entry(1, True, lambda f: IdentityReport.build(
         Theorem.T1, f.n, f.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
     Theorem.T2: _Entry(0, True, lambda f: IdentityReport.build(
-        Theorem.T2, f.n, _fold_row_lcm(f.row), row_lcm_farhi(f.n, caps=f.caps), _M_ROW_FOLD, _M_FARHI_QUOT)),
+        Theorem.T2, f.n, f.row_lcm, row_lcm_farhi(f.n, caps=f.caps), _M_ROW_FOLD, _M_FARHI_QUOT)),
     Theorem.T3: _Entry(1, False, lambda f: IdentityReport.build(
         Theorem.T3, f.n, f.scaled_prev_lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
     Theorem.T4: _Entry(1, True, lambda f: IdentityReport.build(
@@ -245,12 +250,14 @@ def verify_range(
     reads_row = any(e.reads_row for e in entries)
     groups: list[list] = [[] for _ in entries]
     prev = None
+    carried = None
     for row in iter_binomial_rows(last if reads_row else last - 1, caps=caps):
-        facts = _Facts(row.n, prev, row, caps) if reads_row else _Facts(row.n + 1, row, None, caps)
+        facts = _Facts(row.n, prev, row, caps, carried) if reads_row else _Facts(row.n + 1, row, None, caps)
         if facts.n >= first:
             for group, entry in zip(groups, entries):
                 group.append(entry.build(facts))
         prev = row
+        carried = vars(facts).get("row_lcm")  # present only if a builder read it
     return [report for group in groups for report in group]
 
 

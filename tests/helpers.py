@@ -46,3 +46,26 @@ def brute_row_lcm(n: int) -> int:
 
 def brute_weighted_row_lcm(n: int) -> int:
     return fold_lcm(k * math.comb(n, k) for k in range(1, n + 1))
+
+
+def fsum_psi_table(max_n: int, step: int = 1) -> list[tuple]:
+    """(n, digits, 2^(n-1) <= L, 2^n <= L, L <= 3^n, psi/n) per sample, L = lcm(1..n).
+
+    The per-sample route: L folded up by math.lcm, digits by len(str()),
+    each flag against an exactly built power, and psi as math.fsum over
+    every prime's term e*ln(p) at every sample.
+    """
+    out = []
+    lcm = 1
+    exponents: dict[int, int] = {}
+    for n in range(1, max_n + 1):
+        lcm = math.lcm(lcm, n)
+        if n >= 2:
+            p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+            a = vp_by_division(n, p)
+            if p**a == n:
+                exponents[p] = a
+        if n % step == 0:
+            psi = math.fsum(e * math.log(p) for p, e in exponents.items())
+            out.append((n, len(str(lcm)), 2 ** (n - 1) <= lcm, 2**n <= lcm, lcm <= 3**n, psi / n))
+    return out

@@ -1,0 +1,63 @@
+"""Golden stdout of `bounds` and the value commands, and psi_table's exact oracle.
+
+Each digest is the sha256 of the command's stdout, captured before the
+digit-count and psi_table rewrite, so the new routes must print byte
+for byte what the old ones did.
+"""
+
+import hashlib
+
+import pytest
+
+from binomlcm import check_bounds, psi_table
+from binomlcm.bounds import _record
+from binomlcm.cli import run
+from helpers import fsum_psi_table
+
+DIGESTS = {
+    "bounds --to 5000 --format csv": "d0552f9b64b27b5693a3050a48959e09ae8c0f1840ceaaef11aa83cadd90f1a7",
+    "bounds --to 5000 --format plain": "6e751bbb63aaa722af813e835743b7df4a9cfe06cb38775008e57bb6be89ab03",
+    "bounds --to 5000 --format json": "f94094fb8c4e411bcb7be4aaaa308f2d6990831ee07398984073bedb6f1c91a9",
+    "bounds --to 20000 --step 250": "8cc66269b8004ed3447d9ced4f48348d4a53f7ba43bdd91ce480b7a8f0e399d4",
+    "lcm-range 20000": "c8bce5f10cbc8a6d268446fead425bb51770afa1f35e3e7e7227520d7d84bb15",
+    "row-lcm 30000 --method valuation": "1c1d11d3e0fae7f888a2b9905ea202e34fd5079e66e5b76c4a4e823e28c727cb",
+    "lcm-range 1000000 --digits-only": "40ee126df8ccf86c8d5051ebb8627c83755287815f494d9c3d65fc7e4710dc0c",
+}
+
+
+@pytest.mark.parametrize("command", DIGESTS)
+def test_stdout_digest(capsys, command):
+    code = run(command.split())
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+def _fields(records):
+    return [
+        (r.n, r.lcm_digits, r.lower_2nm1_holds, r.lower_2n_holds, r.upper_3n_holds, r.psi_over_n)
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("step", [1, 2, 7, 250, 1000, 2999, 3000])
+def test_psi_table_equals_the_fsum_oracle_exactly(step):
+    # Floats included: the running exact sum must round to fsum's value.
+    assert _fields(psi_table(3000, step)) == fsum_psi_table(3000, step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 64, 720, 1024, 2999])
+def test_check_bounds_equals_the_table_record(n):
+    assert check_bounds(n) == psi_table(n, n)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 100, 5000])
+def test_flags_at_the_exact_powers(n):
+    # Right at and just past each power, where a bit-length estimate
+    # alone could not decide the 3^n flag.
+    assert _record(n, 2 ** (n - 1), 1, 0.0).lower_2nm1_holds
+    assert not _record(n, 2 ** (n - 1) - 1, 1, 0.0).lower_2nm1_holds
+    assert _record(n, 2**n, 1, 0.0).lower_2n_holds
+    assert not _record(n, 2**n - 1, 1, 0.0).lower_2n_holds
+    assert _record(n, 3**n, 1, 0.0).upper_3n_holds
+    assert not _record(n, 3**n + 1, 1, 0.0).upper_3n_holds
