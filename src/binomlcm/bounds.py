@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import advance_digit_count, decimal_digits
-from .engine import lcm_range
+from .engine import _smallest_prime_factors  # noqa: F401  re-exported: the sieve behind prime_power_bases
+from .engine import lcm_range, prime_power_bases
 from .errors import DomainError
 
 __all__ = ["BoundsRecord", "check_bounds", "psi_table", "write_bounds_csv", "BOUNDS_CSV_HEADER"]
@@ -130,8 +132,8 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     """Records at n = step, 2*step, ..., <= max_n, built cumulatively.
 
     One pass holds the running lcm: lcm(1..n) gains exactly one factor
-    p whenever n is a prime power p^a, so each step is a smallest-
-    prime-factor lookup plus at most one small multiplication, and the
+    p whenever n is a prime power p^a, so each step is a lookup in
+    engine.prime_power_bases plus at most one small multiplication, and the
     factors gained between two samples reach the running lcm in one
     multiplication. Everything else a record needs is kept the same way,
     so a sample costs constant work beyond that multiplication:
@@ -148,7 +150,8 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
         raise DomainError(f"psi_table requires max_n >= 1, got {max_n}")
     check_cap(max_n, caps.sieve_limit, "psi table max_n")
 
-    spf = _smallest_prime_factors(max_n)
+    bases = prime_power_bases(max_n)
+    exps: defaultdict[int, int] = defaultdict(int)  # p -> e, the exponent of p in lcm(1..n)
     terms: dict[int, int] = {}  # p -> e*ln(p) in units of 2**-1074
     psi_units = 0
     running = 1
@@ -157,18 +160,13 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     next_ten = 10  # 10**digits, the smallest power of ten above running
     records = []
     for n in range(1, max_n + 1):
-        p = spf[n] if n >= 2 else 0
-        if p:
-            m = n
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            if m == 1:  # n is the prime power p^a
-                gained *= p
-                term = _units(a * math.log(p))
-                psi_units += term - terms.get(p, 0)
-                terms[p] = term
+        p = bases[n]
+        if p > 1:  # n is a power of p
+            gained *= p
+            exps[p] += 1
+            term = _units(exps[p] * math.log(p))
+            psi_units += term - terms.get(p, 0)
+            terms[p] = term
         if n % step == 0:
             if gained > 1:
                 running *= gained
@@ -176,16 +174,6 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
                 digits, next_ten = advance_digit_count(running, digits, next_ten)
             records.append(_record(n, running, digits, psi_units / _UNITS_PER_ONE))
     return records
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    spf = [0] * (limit + 1)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            for m in range(p, limit + 1, p):
-                if spf[m] == 0:
-                    spf[m] = p
-    return spf
 
 
 def write_bounds_csv(records, stream) -> None:

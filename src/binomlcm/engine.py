@@ -14,6 +14,9 @@ that scale very differently:
 
 Range lcms likewise come in two routes: a gcd fold over 1..n (oracle)
 and the prime-power factorization lcm(1..n) = prod p^max{e : p^e <= n}.
+A sweep over consecutive n carries the second incrementally instead:
+lcm(1..m) = lcm(1..m-1) * p when m = p^a is a prime power, and
+lcm(1..m-1) otherwise (iter_range_lcms).
 
 All values are exact; nothing in this module goes through floats.
 """
@@ -24,6 +27,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -35,6 +40,9 @@ __all__ = [
     "BinomialRow",
     "sieve_primes",
     "lcm_range",
+    "prime_power_bases",
+    "iter_range_lcms",
+    "row_quotient",
     "lcm_sequence",
     "binomial_row",
     "iter_binomial_rows",
@@ -184,6 +192,52 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     )
 
 
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= limit (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(limit + 1))
+    root = math.isqrt(limit)
+    primes = []
+    for p in range(2, root + 1):  # the primes up to root, sieving only spf[:root + 1]
+        if spf[p] == p:
+            primes.append(p)
+            spf[p * p : root + 1 : p] = [p] * len(range(p * p, root + 1, p))
+    for p in reversed(primes):  # descending, so the smallest prime factor is written last
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
+
+
+def prime_power_bases(limit: int) -> list[int]:
+    """base[m] = p when m = p^a (a >= 1) is a prime power, else 1, for 0 <= m <= limit.
+
+    lcm(1..m) = lcm(1..m-1) * base[m]: the range lcm gains the factor p
+    exactly at the powers of p. One smallest-prime-factor sieve finds
+    the primes; their powers are walked by repeated multiplication.
+    """
+    spf = _smallest_prime_factors(limit)
+    base = [1] * (limit + 1)
+    for p in compress(range(2, limit + 1), map(eq, spf[2:], range(2, limit + 1))):
+        q = p
+        while q <= limit:
+            base[q] = p
+            q *= p
+    return base
+
+
+def iter_range_lcms(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterator[int]:
+    """Yield lcm(1..m) for m = 0, 1, ..., limit (lcm(1..0) = 1, the empty lcm).
+
+    One sieve for the whole range, then one small multiplication per m
+    that is a prime power; every other step yields the previous value.
+    """
+    if limit < 0:
+        raise DomainError("limit must be a nonnegative integer")
+    check_cap(limit, caps.sieve_limit, "sieve limit")
+    running = 1
+    for base in prime_power_bases(limit):
+        running *= base
+        yield running
+
+
 def lcm_sequence(values: Iterable[int]) -> int:
     """Fold lcm over a nonempty sequence of positive integers.
 
@@ -249,15 +303,19 @@ def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
 
 
 def row_lcm_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
-    """lcm of C(n,0..n) as lcm(1..n+1)/(n+1), with exact division checked.
-
-    (n+1) always divides lcm(1..n+1); a nonzero remainder would falsify
-    the identity this route rests on, and raises immediately.
-    """
+    """lcm of C(n,0..n) as lcm(1..n+1)/(n+1), with exact division checked."""
     if n < 0:
         raise DomainError("row_lcm_farhi requires n >= 0")
-    numerator = lcm_range(n + 1, caps=caps).expand()
-    q, r = divmod(numerator, n + 1)
+    return row_quotient(lcm_range(n + 1, caps=caps).expand(), n)
+
+
+def row_quotient(lcm_next: int, n: int) -> int:
+    """lcm_next / (n+1), where lcm_next = lcm(1..n+1); the division is checked exact.
+
+    (n+1) always divides lcm(1..n+1); a nonzero remainder would falsify
+    the identity the quotient rests on, and raises immediately.
+    """
+    q, r = divmod(lcm_next, n + 1)
     if r:
         raise InternalConsistencyError(
             f"lcm(1..{n + 1}) is not divisible by {n + 1}; this falsifies the "

@@ -20,6 +20,12 @@ two sides of a report go through maximally independent routes (e.g. no
 left side ever touches the prime-power factorization that produces the
 right side), so a single bug cannot silently hold an identity up.
 
+The sweep carries lcm(1..n) and lcm(1..n+1) from one n to the next (one
+sieve for the whole range, one small multiplication at each prime
+power), so no n rebuilds a range lcm. TERMWISE's right side n*C(n-1,t-1)
+comes from the multiplicative recurrence C(n-1,t) = C(n-1,t-1)*(n-t)/t
+with every division checked exact, its left side from the Pascal row.
+
 A false identity is data (holds == False in the report), never an
 exception; batch sweeps always run to completion so failures are fully
 enumerated. Exceptions are reserved for domain errors and for
@@ -32,6 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice, pairwise, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
@@ -42,8 +49,8 @@ from .engine import (
     _fold_row_lcm,
     _fold_weighted_lcm,
     iter_binomial_rows,
-    lcm_range,
-    row_lcm_farhi,
+    iter_range_lcms,
+    row_quotient,
 )
 from .errors import DomainError, InternalConsistencyError
 
@@ -155,7 +162,8 @@ class _Facts:
     n: int
     prev: BinomialRow | None  # row n-1; None at n = 0
     row: BinomialRow | None  # row n; None when no selected identity reads it
-    caps: ResourceCaps
+    range_lcm: int | None  # lcm(1..n); None when no selected identity reads a range lcm
+    next_range_lcm: int | None  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
     known_prev_lcm: int | None = None  # fold of row n-1, when the facts at n-1 made it
 
     @cached_property
@@ -174,10 +182,6 @@ class _Facts:
     def scaled_prev_lcm(self) -> int:
         return self.n * self.prev_lcm
 
-    @cached_property
-    def range_lcm(self) -> int:
-        return lcm_range(self.n, caps=self.caps).expand()
-
 
 def _theorem5_report(f: _Facts) -> IdentityReport:
     half = _fold_half_row_lcm(f.prev)
@@ -188,13 +192,27 @@ def _theorem5_report(f: _Facts) -> IdentityReport:
     return IdentityReport.build(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
 
 
+def _termwise_rhs(n: int) -> list[int]:
+    """n*C(n-1,t-1) for t = 1..n, by C(n-1,t) = C(n-1,t-1)*(n-t)/t, each division checked."""
+    terms = []
+    c = 1  # C(n-1,0)
+    for t in range(1, n + 1):
+        terms.append(n * c)
+        c, r = divmod(c * (n - t), t)
+        if r:
+            raise InternalConsistencyError(
+                f"C({n - 1},{t - 1})*{n - t} is not divisible by {t}; C({n - 1},{t}) is an integer"
+            )
+    return terms
+
+
 def _termwise_report(f: _Facts) -> IdentityReport:
-    # Left side read off the Pascal-built row, right side from math.comb.
-    # On failure the report carries the first mismatching pair instead of
-    # the (then meaningless) totals.
+    # Left side read off the Pascal-built row, right side from the
+    # multiplicative recurrence. On failure the report carries the first
+    # mismatching pair instead of the (then meaningless) totals.
     n = f.n
     lhs = [t * f.row[t] for t in range(1, n + 1)]
-    rhs = [n * math.comb(n - 1, t - 1) for t in range(1, n + 1)]
+    rhs = _termwise_rhs(n)
     if lhs != rhs:
         t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])
         at = f"at first failing t={t}"
@@ -205,21 +223,22 @@ def _termwise_report(f: _Facts) -> IdentityReport:
 class _Entry(NamedTuple):
     first: int  # smallest n the identity is stated for
     reads_row: bool  # needs row n, not just row n-1
+    reach: int | None  # reads lcm(1..n + reach); None when it reads no range lcm
     build: Callable[[_Facts], IdentityReport | EquivalenceChainReport]
 
 
 _REGISTRY = {
-    Theorem.T1: _Entry(1, True, lambda f: IdentityReport.build(
+    Theorem.T1: _Entry(1, True, 0, lambda f: IdentityReport.build(
         Theorem.T1, f.n, f.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
-    Theorem.T2: _Entry(0, True, lambda f: IdentityReport.build(
-        Theorem.T2, f.n, f.row_lcm, row_lcm_farhi(f.n, caps=f.caps), _M_ROW_FOLD, _M_FARHI_QUOT)),
-    Theorem.T3: _Entry(1, False, lambda f: IdentityReport.build(
+    Theorem.T2: _Entry(0, True, 1, lambda f: IdentityReport.build(
+        Theorem.T2, f.n, f.row_lcm, row_quotient(f.next_range_lcm, f.n), _M_ROW_FOLD, _M_FARHI_QUOT)),
+    Theorem.T3: _Entry(1, False, 0, lambda f: IdentityReport.build(
         Theorem.T3, f.n, f.scaled_prev_lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
-    Theorem.T4: _Entry(1, True, lambda f: IdentityReport.build(
+    Theorem.T4: _Entry(1, True, None, lambda f: IdentityReport.build(
         Theorem.T4, f.n, f.weighted_lcm, f.scaled_prev_lcm, _M_WEIGHTED, _M_SCALED_PREV)),
-    Theorem.T5: _Entry(1, False, _theorem5_report),
-    Theorem.TERMWISE: _Entry(1, True, _termwise_report),
-    Theorem.CHAIN: _Entry(1, True, lambda f: EquivalenceChainReport.build(
+    Theorem.T5: _Entry(1, False, 0, _theorem5_report),
+    Theorem.TERMWISE: _Entry(1, True, None, _termwise_report),
+    Theorem.CHAIN: _Entry(1, True, 0, lambda f: EquivalenceChainReport.build(
         f.n, f.weighted_lcm, f.scaled_prev_lcm, f.range_lcm)),
 }
 _NAMES = {Theorem.CHAIN: "equivalence chain"}
@@ -235,6 +254,10 @@ def verify_range(
     incremental Pascal sweep serves every theorem, so a range costs the
     same row work as building its last row once. When no selected
     theorem reads row n, rows are built only through last - 1.
+
+    lcm(1..n), and lcm(1..n+1) for T2, are carried across the sweep from
+    one sieve through last (last + 1 with T2), checked against the sieve
+    cap once; a selection of only T4 and TERMWISE sieves nothing.
     """
     theorems = [Theorem(t) for t in ([theorems] if isinstance(theorems, (Theorem, str)) else theorems)]
     entries = [_REGISTRY[t] for t in theorems]
@@ -248,11 +271,23 @@ def verify_range(
             raise DomainError(f"{name} requires n >= {entry.first}, got from={first}")
 
     reads_row = any(e.reads_row for e in entries)
+    rows = iter_binomial_rows(last if reads_row else last - 1, caps=caps)
+    # (lcm(1..n), lcm(1..n+1)) at each n from 0, from one sieve through
+    # last + reach; the second is None past it. zip pulls row 0 before the
+    # first pair, so the row cap is checked before the sieve cap.
+    reach = max((e.reach for e in entries if e.reach is not None), default=None)
+    if reach is None:
+        lcms = repeat((None, None))
+    else:
+        lcms = pairwise(chain(iter_range_lcms(last + reach, caps=caps), [None]))
     groups: list[list] = [[] for _ in entries]
     prev = None
     carried = None
-    for row in iter_binomial_rows(last if reads_row else last - 1, caps=caps):
-        facts = _Facts(row.n, prev, row, caps, carried) if reads_row else _Facts(row.n + 1, row, None, caps)
+    for row, (range_lcm, next_range_lcm) in zip(rows, islice(lcms, 0 if reads_row else 1, None)):
+        if reads_row:
+            facts = _Facts(row.n, prev, row, range_lcm, next_range_lcm, carried)
+        else:
+            facts = _Facts(row.n + 1, row, None, range_lcm, next_range_lcm)
         if facts.n >= first:
             for group, entry in zip(groups, entries):
                 group.append(entry.build(facts))

@@ -543,3 +543,37 @@ def test_all_theorems_to_300_digest(capsys, fmt):
     code, out, err = invoke(capsys, f"verify --theorem all --from 1 --to 300 --format {fmt}")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256_ALL_300[fmt]
+
+
+# Resource-cap outcomes: exit code, stdout sha256 and stderr. The sieve
+# cap is checked against lcm(1..last + 1) when T2 is selected, against
+# lcm(1..last) when T1, T3, T5 or CHAIN is, and not at all for T4 and
+# TERMWISE alone; a row-cap overrun is reported before a sieve-cap one.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+SIEVE_CAP_11 = "binomlcm: resource cap: sieve limit 11 exceeds the configured cap 10\n"
+CAP_OUTCOMES = [
+    ("verify --theorem 1 --from 1 --to 10 --max-sieve 10", 0, "08f5805daa0ef88dd5f83612dffef0ecc7fd25d0dd08b6b663876b3ea833aed4", ""),
+    ("verify --theorem 1 --from 1 --to 10 --max-sieve 11", 0, "08f5805daa0ef88dd5f83612dffef0ecc7fd25d0dd08b6b663876b3ea833aed4", ""),
+    ("verify --theorem 2 --from 1 --to 10 --max-sieve 10", 3, EMPTY, SIEVE_CAP_11),
+    ("verify --theorem 2 --from 1 --to 10 --max-sieve 11", 0, "38310a6cf128cb64c1018a0e2270e0680bff3f745fbee362972ffba321f89d01", ""),
+    ("verify --theorem 4 --from 1 --to 10 --max-sieve 10", 0, "3cfa51072ce3f52cdb6876f6f7eed20f2a046200c1c331f8f2d95828607d250e", ""),
+    ("verify --theorem 4 --from 1 --to 10 --max-sieve 11", 0, "3cfa51072ce3f52cdb6876f6f7eed20f2a046200c1c331f8f2d95828607d250e", ""),
+    ("verify --theorem termwise --from 1 --to 10 --max-sieve 10", 0, "7545efc09111e746f571f1083b6192b3886ab8f2440a6aa717e0f00afdd0c43c", ""),
+    ("verify --theorem termwise --from 1 --to 10 --max-sieve 11", 0, "7545efc09111e746f571f1083b6192b3886ab8f2440a6aa717e0f00afdd0c43c", ""),
+    ("verify --theorem all --from 1 --to 10 --max-sieve 10", 3, EMPTY, SIEVE_CAP_11),
+    ("verify --theorem all --from 1 --to 10 --max-sieve 11", 0, "18f9cdd973f0518e16c12d6ca7706b8a4f444a675e53b4e975a993c80efd3e4d", ""),
+    ("verify --theorem 4 --from 1 --to 10 --max-sieve 0", 0, "3cfa51072ce3f52cdb6876f6f7eed20f2a046200c1c331f8f2d95828607d250e", ""),
+    ("verify --theorem termwise --from 1 --to 10 --max-sieve 0", 0, "7545efc09111e746f571f1083b6192b3886ab8f2440a6aa717e0f00afdd0c43c", ""),
+    ("verify --theorem 2 --from 0 --to 0 --max-sieve 0", 3, EMPTY, "binomlcm: resource cap: sieve limit 1 exceeds the configured cap 0\n"),
+    ("verify --theorem 3 --from 1 --to 10 --max-sieve 9", 3, EMPTY, "binomlcm: resource cap: sieve limit 10 exceeds the configured cap 9\n"),
+    ("verify --theorem 5 --from 1 --to 10 --max-sieve 10", 0, "0645118bf45299624cb9f7c3bc806b57e33d9e5f3894259a95b368e6461f45f6", ""),
+    ("verify --theorem chain --from 1 --to 10 --max-sieve 9", 3, EMPTY, "binomlcm: resource cap: sieve limit 10 exceeds the configured cap 9\n"),
+    ("verify --theorem 1 --from 1 --to 11 --max-row 10 --max-sieve 5", 3, EMPTY, "binomlcm: resource cap: binomial row n 11 exceeds the configured cap 10\n"),
+    ("verify --theorem 3 --from 1 --to 12 --max-row 10 --max-sieve 5", 3, EMPTY, "binomlcm: resource cap: binomial row n 11 exceeds the configured cap 10\n"),
+]
+
+
+@pytest.mark.parametrize("command,code,out_sha256,err", CAP_OUTCOMES, ids=[c for c, _, _, _ in CAP_OUTCOMES])
+def test_cap_outcomes(capsys, command, code, out_sha256, err):
+    got_code, out, got_err = invoke(capsys, command)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest(), got_err) == (code, out_sha256, err)

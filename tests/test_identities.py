@@ -1,6 +1,7 @@
 """Identity verifiers: frozen examples, domain rules, report contracts."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,11 @@ from binomlcm import (
     verify_theorem4,
     verify_theorem5,
 )
+from binomlcm import InternalConsistencyError, ResourceCapError, ResourceCaps, engine, lcm_range
 from binomlcm.cli import run
-from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm
+from binomlcm.engine import iter_range_lcms, prime_power_bases, row_quotient
+from binomlcm.identities import _termwise_rhs
+from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm, vp_by_division
 
 
 class TestNair:
@@ -341,3 +345,68 @@ class TestReportContracts:
     def test_methods_are_independent_labels(self):
         rep = verify_nair(5)
         assert rep.lhs_method != rep.rhs_method
+
+
+class TestCarriedRangeLcm:
+    def test_running_lcm_matches_factorization_and_fold(self):
+        # fold is brute_range_lcm(n) taken incrementally; the helper itself
+        # is called on a sample of n, since calling it for every n is quadratic.
+        fold = 1
+        for n, running in enumerate(iter_range_lcms(2000)):
+            fold = math.lcm(fold, n) if n else 1
+            assert running == fold, n
+            if n:
+                assert running == lcm_range(n).expand(), n
+            if n % 97 == 0 or n in (1, 2, 1999, 2000):
+                assert running == (brute_range_lcm(n) if n else 1), n
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 10_000])
+    def test_prime_power_bases(self, limit):
+        bases = prime_power_bases(limit)
+        assert len(bases) == limit + 1 and bases[:2] == [1, 1][: limit + 1]
+        for m in range(2, limit + 1):
+            p = next(d for d in range(2, m + 1) if m % d == 0)
+            assert bases[m] == (p if p ** vp_by_division(m, p) == m else 1), m
+
+    @given(st.integers(min_value=1, max_value=400))
+    @settings(deadline=None, max_examples=60)
+    def test_termwise_recurrence_matches_math_comb(self, n):
+        assert _termwise_rhs(n) == [n * math.comb(n - 1, t - 1) for t in range(1, n + 1)]
+
+    def test_row_quotient_is_exact_division_checked(self):
+        assert [row_quotient(brute_range_lcm(n + 1), n) for n in range(0, 30)] == [brute_row_lcm(n) for n in range(30)]
+        with pytest.raises(InternalConsistencyError, match=r"lcm\(1..3\) is not divisible by 3"):
+            row_quotient(7, 2)
+
+    def test_sieve_cap_names_the_whole_range_limit(self):
+        caps = ResourceCaps(sieve_limit=10)
+        with pytest.raises(ResourceCapError, match="^sieve limit 20 exceeds the configured cap 10$"):
+            verify_range(Theorem.T1, 1, 20, caps=caps)
+        with pytest.raises(ResourceCapError, match="^sieve limit 21 exceeds the configured cap 10$"):
+            verify_range([Theorem.T4, Theorem.T2], 12, 20, caps=caps)
+        assert len(verify_range([Theorem.T4, Theorem.TERMWISE], 1, 20, caps=ResourceCaps(sieve_limit=0))) == 40
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of engine.<name>, wherever a binomlcm module binds it."""
+    original = getattr(engine, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "binomlcm" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_sieves_once_and_rebuilds_no_range_lcm(monkeypatch):
+    sieves = _count_calls(monkeypatch, "sieve_primes")
+    ranges = _count_calls(monkeypatch, "lcm_range")
+    tables = _count_calls(monkeypatch, "prime_power_bases")
+    reports = verify_range(list(Theorem), 1, 200)
+    assert len(reports) == 7 * 200
+    assert all(r.holds if isinstance(r, IdentityReport) else r.all_equal for r in reports)
+    assert (len(sieves), len(ranges), tables) == (0, 0, [(201,)])
