@@ -3,7 +3,8 @@
 Nothing is timed until every method that will be timed has produced the
 same exact value for the same input; a disagreement aborts the whole
 run with InternalConsistencyError and no records. Records therefore
-always carry verified == True.
+always carry verified == True. An n for which the caps leave no method
+is refused with ResourceCapError before anything is attested or timed.
 
 Timing loops are strictly single-threaded and sequential; running
 benchmarks concurrently with other work invalidates the numbers.
@@ -13,7 +14,6 @@ it is machine-dependent.
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass
@@ -31,9 +31,9 @@ from .engine import (
     row_lcm_naive,
     row_lcm_valuation,
 )
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, ResourceCapError
 
-__all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods", "write_bench_csv", "BENCH_CSV_HEADER"]
+__all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods", "BENCH_CSV_HEADER"]
 
 BENCH_CSV_HEADER = ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
 
@@ -53,6 +53,16 @@ class BenchRecord:
     p90_ns: int
     digits: int
     verified: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.verified
+
+    def plain_line(self) -> str:
+        return (
+            f"{self.task.value} {self.method} n={self.n} reps={self.reps} "
+            f"median={self.median_ns}ns p90={self.p90_ns}ns digits={self.digits} verified={str(self.verified).lower()}"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,9 +134,12 @@ def _bench_task(task, method_table, ns, reps, warmup, smallest) -> list[BenchRec
         raise DomainError(f"reps must be >= 3, got {reps}")
     if warmup < 1:
         raise DomainError(f"warmup must be >= 1, got {warmup}")
+    plan = [(n, {m: fn for m, (fn, ok) in method_table.items() if ok(n)}) for n in ns]
+    for n, feasible in plan:
+        if not feasible:
+            raise ResourceCapError(f"{task.value} bench at n={n}: every method is over its resource cap")
     records = []
-    for n in ns:
-        feasible = {m: fn for m, (fn, ok) in method_table.items() if ok(n)}
+    for n, feasible in plan:
         # Attestation pass: every feasible method must agree exactly
         # before any of them is timed.
         values = {m: _as_int(fn(n)) for m, fn in feasible.items()}
@@ -137,7 +150,7 @@ def _bench_task(task, method_table, ns, reps, warmup, smallest) -> list[BenchRec
                 f"{task.value} methods disagree at n={n} ({detail}); "
                 "no timings emitted"
             )
-        digits = decimal_digits(next(iter(values.values()))) if values else 0
+        digits = decimal_digits(next(iter(values.values())))
         for method, fn in feasible.items():
             samples = []
             for i in range(warmup + reps):
@@ -195,10 +208,3 @@ def bench_range_methods(
     """Time the range-lcm routes (gcd fold vs factorization)."""
     table = dict(methods) if methods is not None else _range_methods(caps)
     return _bench_task(Task.RANGE_LCM, table, ns, reps, warmup, 1)
-
-
-def write_bench_csv(records, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(BENCH_CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.to_csv_row())

@@ -18,20 +18,22 @@ and is reporting data only, never a pass/fail criterion.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import advance_digit_count, decimal_digits
-from .engine import _smallest_prime_factors  # noqa: F401  re-exported: the sieve behind prime_power_bases
+# Not used here: perfbench/layer_trace.py times the sieve behind
+# prime_power_bases under the name bounds._smallest_prime_factors.
+from .engine import _smallest_prime_factors  # noqa: F401
 from .engine import lcm_range, prime_power_bases
 from .errors import DomainError
 
-__all__ = ["BoundsRecord", "check_bounds", "psi_table", "write_bounds_csv", "BOUNDS_CSV_HEADER"]
+__all__ = ["BoundsRecord", "check_bounds", "psi_table", "BOUNDS_CSV_HEADER", "BOUNDS_PLAIN_HEADER"]
 
 BOUNDS_CSV_HEADER = ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "psi_over_n"]
+BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}"
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,20 @@ class BoundsRecord:
             and (self.lower_2n_holds or not self.lower_2n_required)
         )
 
+    @property
+    def ok(self) -> bool:
+        return self.enforced_ok
+
+    def plain_line(self) -> str:
+        """One row under BOUNDS_PLAIN_HEADER; an unrequired 2^n flag is in parentheses."""
+        lower_2n = _fmt_ok(self.lower_2n_holds)
+        if not self.lower_2n_required:
+            lower_2n = f"({'ok' if self.lower_2n_holds else 'no'})"
+        return (
+            f"{self.n:>10} {self.lcm_digits:>11} {_fmt_ok(self.lower_2nm1_holds):>8} {lower_2n:>6} "
+            f"{_fmt_ok(self.upper_3n_holds):>6} {format_psi(self.psi_over_n):>16}"
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -82,6 +98,10 @@ class BoundsRecord:
 
 def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
+
+
+def _fmt_ok(b: bool) -> str:
+    return "ok" if b else "FAIL"
 
 
 def format_psi(x: float) -> str:
@@ -174,10 +194,3 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
                 digits, next_ten = advance_digit_count(running, digits, next_ten)
             records.append(_record(n, running, digits, psi_units / _UNITS_PER_ONE))
     return records
-
-
-def write_bounds_csv(records, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(BOUNDS_CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.to_csv_row())

@@ -5,15 +5,10 @@ blow up (full-row materialization, big fold lcms, sieving) takes a
 ``caps`` keyword and checks against it before doing work. The defaults
 are sized for desk-scale runs.
 
-Environment variables (read only by the CLI; the library itself never
-touches the environment):
-
-    BINOMLCM_MAX_SIEVE       sieve limit            (default 10_000_000)
-    BINOMLCM_MAX_ROW         full-row n cap         (default 5_000)
-    BINOMLCM_MAX_FOLD        fold range-lcm n cap   (default 100_000)
-    BINOMLCM_MAX_VALUATION   valuation-method n cap (default 1_000_000)
-
-CLI --max-* flags win over environment variables.
+The fields of ResourceCaps are the one table of caps: each gives its
+default, its BINOMLCM_MAX_* environment variable (read only by the CLI;
+the library itself never touches the environment) and the help text of
+the CLI's matching --max-* flag, which wins over the variable.
 """
 
 from __future__ import annotations
@@ -24,22 +19,19 @@ from dataclasses import dataclass
 
 from .errors import ResourceCapError
 
-_ENV_FIELDS = {
-    "BINOMLCM_MAX_SIEVE": "sieve_limit",
-    "BINOMLCM_MAX_ROW": "full_row_n",
-    "BINOMLCM_MAX_FOLD": "fold_range_n",
-    "BINOMLCM_MAX_VALUATION": "valuation_n",
-}
+
+def _cap(default: int, env: str, flag_help: str):
+    return dataclasses.field(default=default, metadata={"env": env, "help": flag_help})
 
 
 @dataclass(frozen=True)
 class ResourceCaps:
     """Per-method feasibility caps."""
 
-    sieve_limit: int = 10_000_000
-    full_row_n: int = 5_000
-    fold_range_n: int = 100_000
-    valuation_n: int = 1_000_000
+    sieve_limit: int = _cap(10_000_000, "BINOMLCM_MAX_SIEVE", "sieve limit")
+    full_row_n: int = _cap(5_000, "BINOMLCM_MAX_ROW", "full-row n cap")
+    fold_range_n: int = _cap(100_000, "BINOMLCM_MAX_FOLD", "fold range-lcm n cap")
+    valuation_n: int = _cap(1_000_000, "BINOMLCM_MAX_VALUATION", "valuation-method n cap")
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -53,12 +45,13 @@ class ResourceCaps:
     @classmethod
     def from_env(cls, env=os.environ) -> "ResourceCaps":
         overrides = {}
-        for var, field in _ENV_FIELDS.items():
+        for field in dataclasses.fields(cls):
+            var = field.metadata["env"]
             raw = env.get(var)
             if raw is None:
                 continue
             try:
-                overrides[field] = int(raw)
+                overrides[field.name] = int(raw)
             except ValueError as exc:
                 raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
         return cls(**overrides)

@@ -14,8 +14,9 @@ Every subcommand takes --format {plain,json,csv} (default plain). Data
 goes to stdout, diagnostics to stderr, so output is pipe-safe. Identical
 argv produces byte-identical output, bench timings excepted.
 
-Exit codes: 0 success; 1 a verification, bound, or internal-consistency
-check reported false; 2 usage or domain error; 3 resource-cap error.
+Exit codes: 0 success; 1 some record is not ok (a check reported false)
+or an internal-consistency check failed; 2 usage or domain error; 3
+resource-cap error.
 
 Resource caps come from defaults, then BINOMLCM_MAX_* environment
 variables, then --max-* flags (flags win).
@@ -25,44 +26,40 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 from .bench import BENCH_CSV_HEADER, bench_range_methods, bench_row_methods
-from .bounds import BOUNDS_CSV_HEADER, format_psi, psi_table
+from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from .caps import ResourceCaps
 from .digits import decimal_digits, decimal_str
-from .engine import lcm_range, row_lcm_farhi, row_lcm_naive, row_lcm_valuation
+from .engine import PrimePowerFactorization, lcm_range, row_lcm_farhi, row_lcm_naive, row_lcm_valuation
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
-from .identities import Theorem, verify_range
+from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
 
 # In the fixed order of --theorem all, so CI logs are reproducible.
 _THEOREM_BY_FLAG = {
-    "1": Theorem.T1,
-    "2": Theorem.T2,
-    "3": Theorem.T3,
-    "4": Theorem.T4,
-    "5": Theorem.T5,
-    "termwise": Theorem.TERMWISE,
-    "chain": Theorem.CHAIN,
+    "1": Theorem.T1, "2": Theorem.T2, "3": Theorem.T3, "4": Theorem.T4, "5": Theorem.T5,
+    "termwise": Theorem.TERMWISE, "chain": Theorem.CHAIN,
 }
 
-_CAP_FLAGS = {
-    "max_sieve": "sieve_limit",
-    "max_row": "full_row_n",
-    "max_fold": "fold_range_n",
-    "max_valuation": "valuation_n",
+# Lambdas, so a route rebound in this module later (by a tracer, say) is called.
+_ROW_METHODS = {
+    "naive": lambda n, caps: row_lcm_naive(n, caps=caps),
+    "farhi": lambda n, caps: row_lcm_farhi(n, caps=caps),
+    "valuation": lambda n, caps: row_lcm_valuation(n, caps=caps),
 }
 
 
 def _cap_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("resource caps")
-    g.add_argument("--max-sieve", type=int, metavar="N", help="sieve limit (env BINOMLCM_MAX_SIEVE)")
-    g.add_argument("--max-row", type=int, metavar="N", help="full-row n cap (env BINOMLCM_MAX_ROW)")
-    g.add_argument("--max-fold", type=int, metavar="N", help="fold range-lcm n cap (env BINOMLCM_MAX_FOLD)")
-    g.add_argument("--max-valuation", type=int, metavar="N", help="valuation-method n cap (env BINOMLCM_MAX_VALUATION)")
+    for field in dataclasses.fields(ResourceCaps):
+        env = field.metadata["env"]  # BINOMLCM_MAX_<CAP> -> --max-<cap>
+        flag = "--" + env.removeprefix("BINOMLCM_").lower().replace("_", "-")
+        g.add_argument(flag, dest=field.name, type=int, metavar="N", help=f"{field.metadata['help']} (env {env})")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain", help="output format (default plain)")
     return p
 
@@ -82,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("row-lcm", parents=[cap_parent], help="lcm of the binomial row C(N,0..N)")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=["naive", "farhi", "valuation"], default="farhi")
+    p.add_argument("--method", choices=_ROW_METHODS, default="farhi")
     p.add_argument("--digits-only", action="store_true", help="print the digit count instead of the value")
     p.set_defaults(handler=_cmd_row_lcm)
 
@@ -114,153 +111,72 @@ def _int_list(text: str) -> list[int]:
 
 
 def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
-    caps = ResourceCaps.from_env()
-    overrides = {
-        field: getattr(args, flag)
-        for flag, field in _CAP_FLAGS.items()
-        if getattr(args, flag, None) is not None
-    }
-    return caps.replace(**overrides) if overrides else caps
+    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(ResourceCaps)}
+    return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 
-# --- subcommand handlers ----------------------------------------------------
+def _emit(args, records, csv_header, plain_header=None) -> int:
+    """Print records in args.format; 1 if any record is not ok, else 0.
+
+    A record (identity, chain, bounds or bench) has plain_line(),
+    to_csv_row(), to_json_dict() and ok.
+    """
+    if args.format == "json":
+        print(json.dumps([r.to_json_dict() for r in records], indent=2))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(r.to_csv_row() for r in records)
+    else:
+        if plain_header is not None:
+            print(plain_header)
+        for r in records:
+            print(r.plain_line())
+    return 0 if all(r.ok for r in records) else 1
 
 
-def _emit_value(args, n: int, value: int, extra: dict) -> None:
+def _emit_value(args, result, **extra) -> int:
+    """Print one lcm, given as an int or as its factorization (JSON keeps it)."""
+    factored = isinstance(result, PrimePowerFactorization)
+    value = result.expand() if factored else result
     if args.format == "plain":
         print(decimal_digits(value) if args.digits_only else decimal_str(value))
-        return
-    doc = {"n": n, **extra, "digits": decimal_digits(value)}
+        return 0
+    doc = {"n": args.n, **extra}
+    if factored:
+        doc["factorization"] = result.to_pairs()
+    doc["digits"] = decimal_digits(value)
     if not args.digits_only:
         doc["value"] = decimal_str(value)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
         header = [k for k in doc if k != "factorization"]
-        writer.writerow(header)
-        writer.writerow([doc[k] for k in header])
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, [doc[k] for k in header]])
+    return 0
 
 
 def _cmd_lcm_range(args, caps) -> int:
-    factorization = lcm_range(args.n, caps=caps)
-    _emit_value(args, args.n, factorization.expand(), {"factorization": factorization.to_pairs()})
-    return 0
+    return _emit_value(args, lcm_range(args.n, caps=caps))
 
 
 def _cmd_row_lcm(args, caps) -> int:
-    if args.method == "naive":
-        value = row_lcm_naive(args.n, caps=caps)
-        extra: dict = {"method": "naive"}
-    elif args.method == "farhi":
-        value = row_lcm_farhi(args.n, caps=caps)
-        extra = {"method": "farhi"}
-    else:
-        factorization = row_lcm_valuation(args.n, caps=caps)
-        value = factorization.expand()
-        extra = {"method": "valuation", "factorization": factorization.to_pairs()}
-    _emit_value(args, args.n, value, extra)
-    return 0
-
-
-def _report_ok(report) -> bool:
-    return report.all_equal if hasattr(report, "all_equal") else report.holds
-
-
-def _verify_plain_line(report) -> str:
-    if hasattr(report, "all_equal"):
-        status = "ok" if report.all_equal else "FAIL"
-        return (
-            f"CHAIN n={report.n} {status} nair={decimal_str(report.q_nair)} "
-            f"thm4_rhs={decimal_str(report.q_thm4_rhs)} "
-            f"thm3_lhs={decimal_str(report.q_thm3_lhs)} range={decimal_str(report.q_range)}"
-        )
-    status = "ok" if report.holds else "FAIL"
-    return (
-        f"{report.theorem.value} n={report.n} {status} "
-        f"lhs={decimal_str(report.lhs)} rhs={decimal_str(report.rhs)}"
-    )
-
-
-def _verify_csv_row(report) -> list[str]:
-    if hasattr(report, "all_equal"):
-        # Chain reports are flattened onto the identity columns: the
-        # chain's endpoints become lhs/rhs. Full detail is in JSON.
-        return [
-            "CHAIN",
-            str(report.n),
-            decimal_str(report.q_nair),
-            decimal_str(report.q_range),
-            "true" if report.all_equal else "false",
-            "weighted row fold (chain head)",
-            "prime-power factorization of lcm(1..n) (chain tail)",
-        ]
-    return [
-        report.theorem.value,
-        str(report.n),
-        decimal_str(report.lhs),
-        decimal_str(report.rhs),
-        "true" if report.holds else "false",
-        report.lhs_method,
-        report.rhs_method,
-    ]
+    return _emit_value(args, _ROW_METHODS[args.method](args.n, caps), method=args.method)
 
 
 def _cmd_verify(args, caps) -> int:
     flags = _THEOREM_BY_FLAG if args.theorem == "all" else [args.theorem]
     reports = verify_range([_THEOREM_BY_FLAG[f] for f in flags], args.first, args.last, caps=caps)
-    if args.format == "plain":
-        for report in reports:
-            print(_verify_plain_line(report))
-    elif args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["theorem", "n", "lhs", "rhs", "holds", "lhs_method", "rhs_method"])
-        for report in reports:
-            writer.writerow(_verify_csv_row(report))
-    return 0 if all(_report_ok(r) for r in reports) else 1
+    return _emit(args, reports, IDENTITY_CSV_HEADER)
 
 
 def _cmd_bounds(args, caps) -> int:
-    records = psi_table(args.max_n, args.step, caps=caps)
-    if args.format == "plain":
-        print(f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}")
-        for r in records:
-            print(
-                f"{r.n:>10} {r.lcm_digits:>11} "
-                f"{'ok' if r.lower_2nm1_holds else 'FAIL':>8} "
-                f"{('ok' if r.lower_2n_holds else 'FAIL') if r.lower_2n_required else ('(' + ('ok' if r.lower_2n_holds else 'no') + ')'):>6} "
-                f"{'ok' if r.upper_3n_holds else 'FAIL':>6} "
-                f"{format_psi(r.psi_over_n):>16}"
-            )
-    elif args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in records], indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(BOUNDS_CSV_HEADER)
-        for r in records:
-            writer.writerow(r.to_csv_row())
-    return 0 if all(r.enforced_ok for r in records) else 1
+    return _emit(args, psi_table(args.max_n, args.step, caps=caps), BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER)
 
 
 def _cmd_bench(args, caps) -> int:
     runner = bench_row_methods if args.task == "row" else bench_range_methods
-    records = runner(args.ns, args.reps, caps=caps)
-    if args.format == "plain":
-        for r in records:
-            print(
-                f"{r.task.value} {r.method} n={r.n} reps={r.reps} "
-                f"median={r.median_ns}ns p90={r.p90_ns}ns digits={r.digits} verified={str(r.verified).lower()}"
-            )
-    elif args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in records], indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(BENCH_CSV_HEADER)
-        for r in records:
-            writer.writerow(r.to_csv_row())
-    return 0
+    return _emit(args, runner(args.ns, args.reps, caps=caps), BENCH_CSV_HEADER)
 
 
 def run(argv: list[str]) -> int:

@@ -57,7 +57,11 @@ from .errors import DomainError, InternalConsistencyError
 __all__ = [
     "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "verify_farhi", "verify_theorem3",
     "verify_theorem4", "verify_theorem5", "termwise_identity", "equivalence_chain", "verify_range", "chain_range",
+    "IDENTITY_CSV_HEADER",
 ]
+
+# The CSV columns of both report types; a chain report fills them too.
+IDENTITY_CSV_HEADER = ["theorem", "n", "lhs", "rhs", "holds", "lhs_method", "rhs_method"]
 
 
 class Theorem(Enum):
@@ -101,6 +105,27 @@ class IdentityReport:
     def build(cls, theorem, n, lhs, rhs, lhs_method, rhs_method) -> "IdentityReport":
         return cls(theorem, n, lhs, rhs, lhs == rhs, lhs_method, rhs_method)
 
+    @property
+    def ok(self) -> bool:
+        return self.holds
+
+    def plain_line(self) -> str:
+        return (
+            f"{self.theorem.value} n={self.n} {'ok' if self.holds else 'FAIL'} "
+            f"lhs={decimal_str(self.lhs)} rhs={decimal_str(self.rhs)}"
+        )
+
+    def to_csv_row(self) -> list[str]:
+        return [
+            self.theorem.value,
+            str(self.n),
+            decimal_str(self.lhs),
+            decimal_str(self.rhs),
+            "true" if self.holds else "false",
+            self.lhs_method,
+            self.rhs_method,
+        ]
+
     def to_json_dict(self) -> dict:
         return {
             "theorem": self.theorem.value,
@@ -137,6 +162,30 @@ class EquivalenceChainReport:
     @classmethod
     def build(cls, n, q_nair, q_mid, q_range) -> "EquivalenceChainReport":
         return cls(n, q_nair, q_mid, q_mid, q_range, q_nair == q_mid == q_range)
+
+    @property
+    def ok(self) -> bool:
+        return self.all_equal
+
+    def plain_line(self) -> str:
+        return (
+            f"CHAIN n={self.n} {'ok' if self.all_equal else 'FAIL'} nair={decimal_str(self.q_nair)} "
+            f"thm4_rhs={decimal_str(self.q_thm4_rhs)} "
+            f"thm3_lhs={decimal_str(self.q_thm3_lhs)} range={decimal_str(self.q_range)}"
+        )
+
+    def to_csv_row(self) -> list[str]:
+        # Flattened onto IDENTITY_CSV_HEADER: the chain's endpoints become
+        # lhs/rhs. Full detail is in JSON.
+        return [
+            Theorem.CHAIN.value,
+            str(self.n),
+            decimal_str(self.q_nair),
+            decimal_str(self.q_range),
+            "true" if self.all_equal else "false",
+            "weighted row fold (chain head)",
+            "prime-power factorization of lcm(1..n) (chain tail)",
+        ]
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,12 +1,11 @@
 """Bench harness: attestation before timing, abort on disagreement."""
 
-import io
-
 import pytest
 
 from binomlcm import (
     DomainError,
     InternalConsistencyError,
+    ResourceCapError,
     ResourceCaps,
     Task,
     bench_range_methods,
@@ -15,7 +14,8 @@ from binomlcm import (
     row_lcm_naive,
     row_lcm_valuation,
 )
-from binomlcm.bench import BENCH_CSV_HEADER, write_bench_csv
+from binomlcm.bench import BENCH_CSV_HEADER
+from binomlcm.cli import run
 
 
 class CountingMethod:
@@ -102,6 +102,14 @@ class TestRangeBench:
         records = bench_range_methods([2000], 3)
         assert {r.method for r in records} == {"fold", "factorization"}
 
+    def test_every_method_capped_is_refused_before_any_work(self):
+        counted = CountingMethod(lambda n: 1)
+        with pytest.raises(ResourceCapError, match="n=50"):
+            bench_range_methods([10, 50], 3, methods={"only": (counted, lambda n: n < 20)})
+        assert counted.calls == 0  # n = 10 was neither attested nor timed
+        with pytest.raises(ResourceCapError, match="range_lcm bench at n=50"):
+            bench_range_methods([50], 3, caps=ResourceCaps(fold_range_n=1, valuation_n=1))
+
     def test_fault_injection(self):
         with pytest.raises(InternalConsistencyError):
             bench_range_methods(
@@ -115,10 +123,11 @@ class TestRangeBench:
 
 
 class TestRecordOutput:
-    def test_csv_layout(self):
-        buf = io.StringIO()
-        write_bench_csv(bench_row_methods([4], 3), buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv_layout(self, capsys):
+        assert run(["bench", "row", "--ns", "4", "--reps", "3", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert "\r" not in out  # lines end in a bare \n
+        lines = out.strip().splitlines()
         assert lines[0] == ",".join(BENCH_CSV_HEADER)
         assert len(lines) == 4
         for line in lines[1:]:

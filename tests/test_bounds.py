@@ -1,12 +1,12 @@
 """Bounds module: exact flags, the psi ratio, and CSV output."""
 
-import io
 import math
 
 import pytest
 
 from binomlcm import BoundsRecord, DomainError, check_bounds, lcm_range, psi_table
-from binomlcm.bounds import BOUNDS_CSV_HEADER, write_bounds_csv
+from binomlcm.bounds import BOUNDS_CSV_HEADER
+from binomlcm.cli import run
 from helpers import brute_range_lcm
 
 
@@ -95,10 +95,11 @@ class TestPsiTable:
 
 
 class TestCsv:
-    def test_header_and_formatting(self):
-        buf = io.StringIO()
-        write_bounds_csv(psi_table(10, 5), buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_header_and_formatting(self, capsys):
+        assert run(["bounds", "--to", "10", "--step", "5", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert "\r" not in out  # lines end in a bare \n
+        lines = out.strip().splitlines()
         assert lines[0] == ",".join(BOUNDS_CSV_HEADER)
         assert lines[1].startswith("5,2,true,true,true,")  # lcm(1..5) = 60 >= 2^5
         n10 = lines[2].split(",")

@@ -1,12 +1,17 @@
 """CLI contract: subcommands, formats, exit codes, stream discipline."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from binomlcm.cli import run
+from binomlcm import BenchRecord, BoundsRecord, EquivalenceChainReport, IdentityReport, Task, Theorem, check_bounds
+from binomlcm.bench import BENCH_CSV_HEADER
+from binomlcm.bounds import BOUNDS_CSV_HEADER
+from binomlcm.cli import _emit, run
+from binomlcm.identities import IDENTITY_CSV_HEADER
 from helpers import brute_range_lcm
 
 
@@ -184,6 +189,15 @@ class TestBench:
         code, out, err = invoke(capsys, "bench", "row", "--ns", ",", "--reps", "3")
         assert code == 2 and out == "" and "n list is empty" in err
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_every_method_capped_exit_3(self, capsys, fmt):
+        code, out, err = invoke(
+            capsys, "bench", "range", "--ns", "50", "--reps", "3", "--max-fold", "1", "--max-valuation", "1",
+            "--format", fmt,
+        )
+        assert code == 3 and out == ""
+        assert "range_lcm bench at n=50" in err
+
     def test_range_n_zero_refused_up_front(self, capsys, monkeypatch):
         import binomlcm.bench as bench_mod
 
@@ -193,6 +207,26 @@ class TestBench:
         assert code == 2 and out == ""
         assert "range_lcm bench requires n >= 1, got 0" in err
         assert timed == []  # refused before n = 5 was attested or timed
+
+
+# One case per cap: its variable, its flag, a command a cap of 5 refuses,
+# and the start of that command's stdout once the flag lifts the cap to 100.
+CAP_CASES = [
+    ("BINOMLCM_MAX_SIEVE", "--max-sieve", ["lcm-range", "10"], "2520\n"),
+    ("BINOMLCM_MAX_ROW", "--max-row", ["row-lcm", "10", "--method", "naive"], f"{brute_range_lcm(11) // 11}\n"),
+    (
+        "BINOMLCM_MAX_FOLD",
+        "--max-fold",
+        ["bench", "range", "--ns", "10", "--reps", "3", "--max-valuation", "1"],
+        "range_lcm fold n=10 reps=3 ",
+    ),
+    (
+        "BINOMLCM_MAX_VALUATION",
+        "--max-valuation",
+        ["row-lcm", "10", "--method", "valuation"],
+        f"{brute_range_lcm(11) // 11}\n",
+    ),
+]
 
 
 class TestUsageAndCaps:
@@ -208,15 +242,17 @@ class TestUsageAndCaps:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0 and "lcm-range" in out
 
-    def test_env_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("BINOMLCM_MAX_ROW", "5")
-        code, _, err = invoke(capsys, "row-lcm", "10", "--method", "naive")
-        assert code == 3
+    @pytest.mark.parametrize("var, flag, argv, lifted_out", CAP_CASES, ids=[c[1] for c in CAP_CASES])
+    def test_env_cap_respected(self, capsys, monkeypatch, var, flag, argv, lifted_out):
+        monkeypatch.setenv(var, "5")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and out == "" and "cap" in err
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BINOMLCM_MAX_ROW", "5")
-        code, out, _ = invoke(capsys, "row-lcm", "10", "--method", "naive", "--max-row", "100")
-        assert code == 0 and out.strip() == str(brute_range_lcm(11) // 11)
+    @pytest.mark.parametrize("var, flag, argv, lifted_out", CAP_CASES, ids=[c[1] for c in CAP_CASES])
+    def test_flag_beats_env(self, capsys, monkeypatch, var, flag, argv, lifted_out):
+        monkeypatch.setenv(var, "5")
+        code, out, _ = invoke(capsys, *argv, flag, "100")
+        assert code == 0 and out.startswith(lifted_out)
 
     @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold", "--max-valuation"])
     def test_negative_cap_flag_refused(self, capsys, flag):
@@ -254,3 +290,33 @@ class TestUsageAndCaps:
         )
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[0].startswith("n,lcm_digits")
+
+
+# (record, its CSV header, the flag ok stands for, expected ok); one failing
+# record of each type.
+PROTOCOL_CASES = [
+    (IdentityReport.build(Theorem.T1, 5, 60, 60, "a", "b"), IDENTITY_CSV_HEADER, "holds", True),
+    (IdentityReport.build(Theorem.T1, 5, 2, 3, "a", "b"), IDENTITY_CSV_HEADER, "holds", False),
+    (EquivalenceChainReport.build(9, 2520, 2520, 2520), IDENTITY_CSV_HEADER, "all_equal", True),
+    (EquivalenceChainReport.build(9, 2520, 2520, 2519), IDENTITY_CSV_HEADER, "all_equal", False),
+    (check_bounds(10), BOUNDS_CSV_HEADER, "enforced_ok", True),
+    (BoundsRecord(8, 3, True, False, True, 0.8), BOUNDS_CSV_HEADER, "enforced_ok", True),  # 2^n not required
+    (BoundsRecord(10, 4, True, False, True, 0.8), BOUNDS_CSV_HEADER, "enforced_ok", False),
+    (BenchRecord(Task.ROW_LCM, "naive", 4, 3, 10, 20, 2, True), BENCH_CSV_HEADER, "verified", True),
+    (BenchRecord(Task.ROW_LCM, "naive", 4, 3, 10, 20, 2, False), BENCH_CSV_HEADER, "verified", False),
+]
+
+
+class TestRecordProtocol:
+    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
+    def test_csv_row_fits_header_and_ok_is_the_flag(self, record, header, flag, expected):
+        assert len(record.to_csv_row()) == len(header)
+        assert record.ok is getattr(record, flag) is expected
+        assert "\n" not in record.plain_line()
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
+    def test_emit_exit_code_follows_ok(self, capsys, fmt, record, header, flag, expected):
+        code = _emit(argparse.Namespace(format=fmt), [record], header)
+        assert code == (0 if expected else 1)
+        assert capsys.readouterr().out != ""

@@ -1,8 +1,9 @@
 """Golden stdout of `bounds` and the value commands, and psi_table's exact oracle.
 
 Each digest is the sha256 of the command's stdout, captured before the
-digit-count and psi_table rewrite, so the new routes must print byte
-for byte what the old ones did.
+rewrite it guards (the digit-count and psi_table rewrite, then the single
+record emitter and the row-lcm method table), so the new routes must
+print byte for byte what the old ones did.
 """
 
 import hashlib
@@ -22,6 +23,13 @@ DIGESTS = {
     "lcm-range 20000": "c8bce5f10cbc8a6d268446fead425bb51770afa1f35e3e7e7227520d7d84bb15",
     "row-lcm 30000 --method valuation": "1c1d11d3e0fae7f888a2b9905ea202e34fd5079e66e5b76c4a4e823e28c727cb",
     "lcm-range 1000000 --digits-only": "40ee126df8ccf86c8d5051ebb8627c83755287815f494d9c3d65fc7e4710dc0c",
+    "lcm-range 3000 --format json": "5361153dec94e91641d7ade8e173c45d261e6c67bed5e35666cce2a3b3f89337",
+    "lcm-range 3000 --format csv": "d4a560a6d6d47c1237637c0046f02c9cf9865f0da845d062da717bee85d6cecc",
+    "row-lcm 3000 --method valuation --format json": "d57d357613195e5949542f35011ea76d93e540da21a2df981e716f5c1fcc0bfa",
+    "row-lcm 3000 --method valuation --format csv": "937978bf5ca8e3babc471289bace36a68f8cea24bc79aef2ea6a351b539aaf91",
+    "row-lcm 200 --method naive --format json": "276bda7ab26294832fd1be4ff600eb53157a3f4f909e27bf55983bbcdb2e6fc7",
+    "row-lcm 200 --method naive --format csv": "381e8d7acc8f136c2016cc444eca5f04fe34d866a0b3fc87ac2a5479394dcb05",
+    "lcm-range 50 --digits-only --format json": "010025fbf0d640ca950e0ea0bc8685967037bd89d005fd83369cacf596df9424",
 }
 
 
