@@ -151,6 +151,9 @@ def _units(x: float) -> int:
 def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[BoundsRecord]:
     """Records at n = step, 2*step, ..., <= max_n, built cumulatively.
 
+    A step above max_n leaves no sample and is a DomainError, as an
+    empty verify range is.
+
     One pass holds the running lcm: lcm(1..n) gains exactly one factor
     p whenever n is a prime power p^a, so each step is a lookup in
     engine.prime_power_bases plus at most one small multiplication, and the
@@ -168,6 +171,8 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
         raise DomainError(f"psi_table requires step >= 1, got {step}")
     if max_n < 1:
         raise DomainError(f"psi_table requires max_n >= 1, got {max_n}")
+    if step > max_n:
+        raise DomainError(f"psi_table has no sample: step {step} > max_n {max_n}")
     check_cap(max_n, caps.sieve_limit, "psi table max_n")
 
     bases = prime_power_bases(max_n)

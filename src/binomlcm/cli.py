@@ -115,24 +115,51 @@ def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
     return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 
+# Encodes a nonempty flat dict (every record's to_json_dict()) with its
+# members laid out as json.dumps([...], indent=2) lays them out; without
+# indent the json module uses its C encoder.
+_JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": "))
+# Records per stdout write. Every write to the text layer has a fixed
+# cost, and with unbuffered stdout (python -u, PYTHONUNBUFFERED) it is
+# also a system call; one write per record measurably slows a large report.
+_JSON_BATCH = 64
+
+
 def _emit(args, records, csv_header, plain_header=None) -> int:
     """Print records in args.format; 1 if any record is not ok, else 0.
 
     A record (identity, chain, bounds or bench) has plain_line(),
-    to_csv_row(), to_json_dict() and ok.
+    to_csv_row(), to_json_dict() and ok. Records are written as they
+    come, in one pass, so records may be any iterable. JSON is one
+    document, byte for byte the output of print(json.dumps(list, indent=2)),
+    written _JSON_BATCH records at a time and never held whole.
     """
+    ok = True
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in records], indent=2))
+        opening = "[\n  {\n    "
+        batch = []
+        for r in records:
+            batch.append(opening + _JSON_RECORD.encode(r.to_json_dict())[1:-1] + "\n  }")
+            ok &= r.ok
+            opening = ",\n  {\n    "
+            if len(batch) == _JSON_BATCH:
+                sys.stdout.write("".join(batch))
+                batch.clear()
+        batch.append("\n]\n" if opening[0] == "," else "[]\n")
+        sys.stdout.write("".join(batch))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)
-        writer.writerows(r.to_csv_row() for r in records)
+        for r in records:
+            writer.writerow(r.to_csv_row())
+            ok &= r.ok
     else:
         if plain_header is not None:
             print(plain_header)
         for r in records:
             print(r.plain_line())
-    return 0 if all(r.ok for r in records) else 1
+            ok &= r.ok
+    return 0 if ok else 1
 
 
 def _emit_value(args, result, **extra) -> int:

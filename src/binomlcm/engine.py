@@ -3,9 +3,10 @@
 Three routes compute the lcm of a binomial row C(n,0..n), with costs
 that scale very differently:
 
-* naive      -- materialize the row (Pascal additions), fold gcd-based
-                lcm over it; the oracle everything else is checked
-                against, feasible to a few thousand.
+* naive      -- materialize the row (Pascal additions), fold lcm over
+                it (math.lcm only where an entry does not already
+                divide the running lcm); the oracle everything else is
+                checked against, feasible to a few thousand.
 * farhi      -- expand(lcm_range(n+1)) / (n+1), exact division; one
                 sieve plus one big division.
 * valuation  -- per prime p <= n, the largest carry count any entry can
@@ -26,9 +27,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import eq
+from operator import eq, mul
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -284,17 +284,31 @@ def binomial_row(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BinomialRow:
     return deque(iter_binomial_rows(n, caps=caps), maxlen=1)[0]
 
 
+def _lcm_fold(values: Iterable[int]) -> int:
+    """lcm of positive integers (1 for none), divisibility first.
+
+    Most entries of a row already divide the running lcm, and a
+    remainder costs far less than the gcd inside math.lcm, so math.lcm
+    runs only for a value that brings a new factor.
+    """
+    acc = 1
+    for v in values:
+        if acc % v:
+            acc = math.lcm(acc, v)
+    return acc
+
+
 def _fold_row_lcm(row: BinomialRow) -> int:
-    return reduce(math.lcm, row.entries)
+    return _lcm_fold(row.entries)
 
 
 def _fold_weighted_lcm(row: BinomialRow) -> int:
-    return reduce(math.lcm, (k * row.entries[k] for k in range(1, row.n + 1)))
+    return _lcm_fold(map(mul, range(1, row.n + 1), row.entries[1:]))
 
 
 def _fold_half_row_lcm(row: BinomialRow) -> int:
     # First floor(n/2)+1 entries; covers the whole row by symmetry.
-    return reduce(math.lcm, row.entries[: row.n // 2 + 1])
+    return _lcm_fold(row.entries[: row.n // 2 + 1])
 
 
 def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:

@@ -24,7 +24,9 @@ The sweep carries lcm(1..n) and lcm(1..n+1) from one n to the next (one
 sieve for the whole range, one small multiplication at each prime
 power), so no n rebuilds a range lcm. TERMWISE's right side n*C(n-1,t-1)
 comes from the multiplicative recurrence C(n-1,t) = C(n-1,t-1)*(n-t)/t
-with every division checked exact, its left side from the Pascal row.
+with every division checked exact, run over half the row (t <= ceil(n/2))
+and mirrored by C(n-1,t-1) = C(n-1,n-t); its left side is read off the
+Pascal row, and all n terms of the two sides are compared pairwise.
 
 A false identity is data (holds == False in the report), never an
 exception; batch sweeps always run to completion so failures are fully
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, pairwise, repeat
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
@@ -242,25 +245,31 @@ def _theorem5_report(f: _Facts) -> IdentityReport:
 
 
 def _termwise_rhs(n: int) -> list[int]:
-    """n*C(n-1,t-1) for t = 1..n, by C(n-1,t) = C(n-1,t-1)*(n-t)/t, each division checked."""
+    """n*C(n-1,t-1) for t = 1..n.
+
+    For t <= ceil(n/2), by C(n-1,t) = C(n-1,t-1)*(n-t)/t with each
+    division checked; the rest mirrored by C(n-1,t-1) = C(n-1,n-t).
+    """
+    half = (n + 1) // 2
     terms = []
     c = 1  # C(n-1,0)
-    for t in range(1, n + 1):
+    for t in range(1, half + 1):
         terms.append(n * c)
         c, r = divmod(c * (n - t), t)
         if r:
             raise InternalConsistencyError(
                 f"C({n - 1},{t - 1})*{n - t} is not divisible by {t}; C({n - 1},{t}) is an integer"
             )
-    return terms
+    return terms + terms[: n - half][::-1]
 
 
 def _termwise_report(f: _Facts) -> IdentityReport:
     # Left side read off the Pascal-built row, right side from the
-    # multiplicative recurrence. On failure the report carries the first
-    # mismatching pair instead of the (then meaningless) totals.
+    # multiplicative recurrence; all n terms compared pairwise. On failure
+    # the report carries the first mismatching pair instead of the (then
+    # meaningless) totals.
     n = f.n
-    lhs = [t * f.row[t] for t in range(1, n + 1)]
+    lhs = list(map(mul, range(1, n + 1), f.row.entries[1:]))
     rhs = _termwise_rhs(n)
     if lhs != rhs:
         t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])

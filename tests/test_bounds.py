@@ -80,6 +80,11 @@ class TestPsiTable:
         with pytest.raises(DomainError):
             psi_table(10, 0)
 
+    def test_step_above_max_n_has_no_sample(self):
+        with pytest.raises(DomainError, match=r"^psi_table has no sample: step 11 > max_n 10$"):
+            psi_table(10, 11)
+        assert [r.n for r in psi_table(10, 10)] == [10]
+
     def test_psi_agrees_with_ln_of_expanded_integer(self):
         # Factorization-path psi vs ln of the fold-oracle integer, all
         # n <= 2000, 1e-9 relative.

@@ -1,15 +1,19 @@
 """CLI contract: subcommands, formats, exit codes, stream discipline."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomlcm import BenchRecord, BoundsRecord, EquivalenceChainReport, IdentityReport, Task, Theorem, check_bounds
 from binomlcm.bench import BENCH_CSV_HEADER
-from binomlcm.bounds import BOUNDS_CSV_HEADER
+from binomlcm.bounds import BOUNDS_CSV_HEADER, psi_table
 from binomlcm.cli import _emit, run
 from binomlcm.identities import IDENTITY_CSV_HEADER
 from helpers import brute_range_lcm
@@ -166,6 +170,13 @@ class TestBounds:
         _, out, _ = invoke(capsys, "bounds", "--to", "5")
         assert "psi_over_n" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_step_above_to_is_refused(self, capsys, fmt):
+        # No sample at all: refused like an empty verify range, not a bare header.
+        code, out, err = invoke(capsys, "bounds", "--to", "5", "--step", "10", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "binomlcm: domain error: psi_table has no sample: step 10 > max_n 5\n"
+
 
 class TestBench:
     def test_row_csv(self, capsys):
@@ -320,3 +331,63 @@ class TestRecordProtocol:
         code = _emit(argparse.Namespace(format=fmt), [record], header)
         assert code == (0 if expected else 1)
         assert capsys.readouterr().out != ""
+
+
+class _Doc:
+    """A record that is only its JSON dict."""
+
+    ok = True
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def to_json_dict(self):
+        return self.doc
+
+
+def _emit_json(records) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(format="json"), records, [])
+    return out.getvalue()
+
+
+_JSON_TEXT = st.text() | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a'))
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestJsonWriter:
+    """_emit writes each record as it comes, yet as one indent=2 document."""
+
+    @given(st.lists(st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=6), max_size=5))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_json_dumps_indent_2(self, docs):
+        assert _emit_json([_Doc(d) for d in docs]) == json.dumps(docs, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [63, 64, 65, 129])
+    def test_around_the_write_batch(self, count):
+        records = psi_table(count)
+        assert _emit_json(records) == json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+
+    def test_real_records_of_all_four_types(self):
+        records = [case[0] for case in PROTOCOL_CASES]
+        assert _emit_json(records) == json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_one_pass_over_any_iterable(self, capsys, fmt):
+        # The failing record comes last, after the iterator has been written out.
+        records = iter([check_bounds(10), BoundsRecord(10, 4, True, False, True, 0.8)])
+        assert _emit(argparse.Namespace(format=fmt), records, BOUNDS_CSV_HEADER) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert len(json.loads(out)) == 2
+        else:
+            assert len(out.splitlines()) == (3 if fmt == "csv" else 2)  # csv adds its header

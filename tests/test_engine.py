@@ -1,6 +1,7 @@
 """Engine module: sieve, factorizations, rows, and the three row routes."""
 
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from binomlcm import (
     sieve_primes,
     weighted_row_lcm,
 )
+from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold
 from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm
 
 TIGHT_CAPS = ResourceCaps(sieve_limit=100, full_row_n=10, fold_range_n=50, valuation_n=60)
@@ -279,3 +281,25 @@ class TestWeightedRowLcm:
     def test_matches_comb_oracle(self):
         for n in range(1, 121):
             assert weighted_row_lcm(n) == brute_weighted_row_lcm(n)
+
+
+class TestFolds:
+    """The divisibility-first folds against plain math.lcm folds and the oracles."""
+
+    def test_rows_0_to_400(self):
+        for row in iter_binomial_rows(400):
+            n, entries = row.n, row.entries
+            assert _fold_row_lcm(row) == reduce(math.lcm, entries) == brute_row_lcm(n)
+            assert _fold_half_row_lcm(row) == reduce(math.lcm, entries[: n // 2 + 1]) == brute_row_lcm(n)
+            if n:
+                weighted = [k * entries[k] for k in range(1, n + 1)]
+                assert _fold_weighted_lcm(row) == reduce(math.lcm, weighted) == brute_weighted_row_lcm(n)
+
+    def test_empty_fold_is_one(self):
+        # Row 0 has no weighted term k*C(0,k) with k >= 1.
+        assert _lcm_fold([]) == math.lcm() == _fold_weighted_lcm(binomial_row(0)) == 1
+
+    @given(st.lists(st.integers(min_value=1, max_value=60) | st.integers(min_value=1, max_value=2**200), min_size=1, max_size=40))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reduce_on_positive_ints(self, values):
+        assert _lcm_fold(values) == reduce(math.lcm, values)

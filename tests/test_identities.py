@@ -23,9 +23,9 @@ from binomlcm import (
     verify_theorem4,
     verify_theorem5,
 )
-from binomlcm import InternalConsistencyError, ResourceCapError, ResourceCaps, engine, lcm_range
+from binomlcm import InternalConsistencyError, ResourceCapError, ResourceCaps, engine, identities, lcm_range
 from binomlcm.cli import run
-from binomlcm.engine import iter_range_lcms, prime_power_bases, row_quotient
+from binomlcm.engine import BinomialRow, iter_range_lcms, prime_power_bases, row_quotient
 from binomlcm.identities import _termwise_rhs
 from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm, vp_by_division
 
@@ -372,6 +372,31 @@ class TestCarriedRangeLcm:
     @settings(deadline=None, max_examples=60)
     def test_termwise_recurrence_matches_math_comb(self, n):
         assert _termwise_rhs(n) == [n * math.comb(n - 1, t - 1) for t in range(1, n + 1)]
+
+    def test_termwise_rhs_small_n_exhaustive(self):
+        # Both parities of n, and n = 1, 2, where the mirrored part is empty or one term.
+        for n in range(1, 81):
+            assert _termwise_rhs(n) == [n * math.comb(n - 1, t - 1) for t in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n, t", [(2, 2), (9, 6), (9, 9), (10, 7), (12, 12)])
+    def test_termwise_fault_in_mirrored_half_is_caught(self, monkeypatch, n, t):
+        # t lies where _termwise_rhs mirrors instead of recurring, so only a
+        # term-by-term comparison there can see the corrupted entry C(n,t) + 1.
+        assert t > (n + 1) // 2
+        real = identities.iter_binomial_rows
+
+        def corrupted(n_max, *, caps):
+            for row in real(n_max, caps=caps):
+                if row.n == n:
+                    row = BinomialRow(n, row.entries[:t] + (row.entries[t] + 1,) + row.entries[t + 1 :])
+                yield row
+
+        monkeypatch.setattr(identities, "iter_binomial_rows", corrupted)
+        (report,) = verify_range(Theorem.TERMWISE, n, n)
+        assert report.holds is False
+        assert (report.lhs, report.rhs) == (t * (math.comb(n, t) + 1), n * math.comb(n - 1, t - 1))
+        assert report.lhs_method == f"t*C(n,t) at first failing t={t}"
+        assert report.rhs_method == f"n*C(n-1,t-1) at first failing t={t}"
 
     def test_row_quotient_is_exact_division_checked(self):
         assert [row_quotient(brute_range_lcm(n + 1), n) for n in range(0, 30)] == [brute_row_lcm(n) for n in range(30)]
