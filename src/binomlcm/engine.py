@@ -12,6 +12,9 @@ that scale very differently:
 * valuation  -- per prime p <= n, the largest carry count any entry can
                 have (see valuation.max_binomial_valuation); returns a
                 factorization and never touches row-sized integers.
+                Above isqrt(n), n has two base-p digits and the carry
+                DP reduces to one digit test, so those primes (nearly
+                all of them) cost one comparison each.
 
 Range lcms likewise come in two routes: a gcd fold over 1..n (oracle)
 and the prime-power factorization lcm(1..n) = prod p^max{e : p^e <= n}.
@@ -19,12 +22,17 @@ A sweep over consecutive n carries the second incrementally instead:
 lcm(1..m) = lcm(1..m-1) * p when m = p^a is a prime power, and
 lcm(1..m-1) otherwise (iter_range_lcms).
 
+Primes come from one bytearray sieve, _primes_upto, read out as plain
+ints; sieve_primes wraps them as Prime for the API. prime_power_bases
+still finds its primes with a separate smallest-prime-factor sieve.
+
 All values are exact; nothing in this module goes through floats.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -33,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .errors import DomainError, InternalConsistencyError
-from .valuation import Prime, max_binomial_valuation
+from .valuation import Prime, _max_borrows
 
 __all__ = [
     "PrimePowerFactorization",
@@ -89,8 +97,10 @@ class PrimePowerFactorization:
         self._factors = dict(sorted(seen.items()))
 
     @classmethod
-    def _trusted(cls, sorted_items: list[tuple[Prime, int]]) -> "PrimePowerFactorization":
+    def _trusted(cls, sorted_items: list[tuple[int, int]]) -> "PrimePowerFactorization":
         # Internal fast path: items already sorted, prime, exponent >= 1.
+        # Keys may be plain ints: a Prime hashes and compares as its int,
+        # and repr and to_pairs call int(p), so nothing outside can tell.
         obj = object.__new__(cls)
         obj._factors = dict(sorted_items)
         return obj
@@ -155,22 +165,32 @@ class BinomialRow:
         return iter(self.entries)
 
 
+def _primes_upto(limit: int) -> list[int]:
+    """All primes <= limit as plain ints, increasing. Empty for limit < 2.
+
+    A bytearray sieve over the odd numbers only (flags[i] stands for
+    2i + 1), read out by compress: reading out costs one int per
+    candidate, so skipping the evens halves it. No domain or cap check:
+    callers make those first.
+    """
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * ((limit + 1) // 2)
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # the index of p^2; its odd multiples are p apart
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return [2, *compress(range(1, limit + 1, 2), flags)]
+
+
 def sieve_primes(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[Prime]:
-    """All primes <= limit, increasing. Empty for limit < 2."""
+    """All primes <= limit, increasing, each a Prime. Empty for limit < 2."""
     if limit < 0:
         raise DomainError("limit must be a nonnegative integer")
     check_cap(limit, caps.sieve_limit, "sieve limit")
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= limit:
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytearray(len(range(start, limit + 1, p)))
-        p += 1
-    return [Prime._trusted(i) for i, f in enumerate(flags) if f]
+    return list(map(Prime._trusted, _primes_upto(limit)))
 
 
 def _range_exponent(p: int, n: int) -> int:
@@ -341,21 +361,28 @@ def row_quotient(lcm_next: int, n: int) -> int:
 def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactorization:
     """lcm of C(n,0..n) as a factorization, one max-valuation per prime.
 
-    The exponent of p is the largest v_p(C(n,k)) over the half row
-    k <= floor(n/2), which by the row symmetry C(n,n-k) = C(n,k) is the
-    maximum over the whole row; max_binomial_valuation computes it from
-    the base-p digits of n without enumerating k. Scales to the default
-    valuation cap of n = 10^6, far past where row materialization stops
-    being feasible.
+    The exponent of p is the largest v_p(C(n,k)) over 0 <= k <= n, the
+    most borrows any base-p subtraction n - k can make. The two-state
+    digit DP of max_binomial_valuation finds it from the digits of n
+    without enumerating k. For p <= isqrt(n) the DP runs as is; for
+    p > isqrt(n), n has exactly two base-p digits and the DP's two steps
+    are unrolled to one test of the low digit. The primes are plain
+    ints from _primes_upto, so no Prime is made, and above the square
+    root no function is called per prime. Scales to the default valuation
+    cap of n = 10^6, far past where row materialization stops being
+    feasible.
     """
     if n < 0:
         raise DomainError("row_lcm_valuation requires n >= 0")
     check_cap(n, caps.valuation_n, "valuation-method row n")
-    items = []
-    for p in sieve_primes(n, caps=caps):
-        e = max_binomial_valuation(n, p)
-        if e:
-            items.append((p, e))
+    check_cap(n, caps.sieve_limit, "sieve limit")
+    primes = _primes_upto(n)
+    split = bisect_right(primes, math.isqrt(n))
+    items = [(p, e) for p in primes[:split] if (e := _max_borrows(n, p))]
+    # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. From the seed state
+    # (f0, f1) = (0, infeasible), the top digit d1 >= 1 gives (0, 0); the
+    # low digit d0 then gives f0 = 1 + f1 = 1 if d0 <= p - 2, else 0.
+    items += [(p, 1) for p in primes[split:] if n % p != p - 1]
     return PrimePowerFactorization._trusted(items)
 
 

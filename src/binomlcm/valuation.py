@@ -161,10 +161,19 @@ def max_binomial_valuation(n: int, p) -> int:
     base-p digits of n (state: borrow pending or not), O(log_p n) per
     call instead of enumerating every k. The enumeration definition is
     what the test suite checks this against.
+
+    p is checked prime and n nonnegative here; the DP itself is
+    _max_borrows, which engine.row_lcm_valuation calls directly with
+    sieved primes.
     """
     p = _as_prime(p)
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
+    return _max_borrows(n, p)
+
+
+def _max_borrows(n: int, p: int) -> int:
+    # The DP of max_binomial_valuation for a trusted prime p and n >= 0.
     if n == 0:
         return 0
     digits = []

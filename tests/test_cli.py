@@ -92,6 +92,20 @@ class TestRowLcm:
         code, _, err = invoke(capsys, "row-lcm", "100", "--method", "naive", "--max-row", "10")
         assert code == 3 and "cap" in err
 
+    # The valuation cap is checked before the sieve cap.
+    @pytest.mark.parametrize(
+        "caps, named",
+        [
+            (["--max-valuation", "49"], "valuation-method row n"),
+            (["--max-sieve", "49"], "sieve limit"),
+            (["--max-valuation", "49", "--max-sieve", "49"], "valuation-method row n"),
+            (["--max-sieve", "49", "--max-valuation", "49"], "valuation-method row n"),
+        ],
+    )
+    def test_valuation_caps_exit_3(self, capsys, caps, named):
+        code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", *caps)
+        assert (code, out, err) == (3, "", f"binomlcm: resource cap: {named} 50 exceeds the configured cap 49\n")
+
 
 class TestVerify:
     def test_plain_run(self, capsys):

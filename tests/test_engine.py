@@ -1,6 +1,7 @@
 """Engine module: sieve, factorizations, rows, and the three row routes."""
 
 import math
+from bisect import bisect_right
 from functools import reduce
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from binomlcm import (
     DomainError,
+    Prime,
     PrimePowerFactorization,
     ResourceCapError,
     ResourceCaps,
@@ -16,14 +18,16 @@ from binomlcm import (
     iter_binomial_rows,
     lcm_range,
     lcm_sequence,
+    max_binomial_valuation,
     row_lcm_farhi,
     row_lcm_naive,
     row_lcm_valuation,
     sieve_primes,
     weighted_row_lcm,
 )
-from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold
-from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm
+from binomlcm import engine
+from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold, _primes_upto
+from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm, trial_is_prime
 
 TIGHT_CAPS = ResourceCaps(sieve_limit=100, full_row_n=10, fold_range_n=50, valuation_n=60)
 
@@ -47,6 +51,13 @@ class TestSieve:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             sieve_primes(-1)
+
+    def test_plain_int_sieve_matches_trial_division(self):
+        primes = [v for v in range(2001) if trial_is_prime(v)]
+        for limit in range(0, 2001):
+            out = _primes_upto(limit)
+            assert out == [p for p in primes if p <= limit], limit
+            assert all(type(p) is int for p in out)
 
 
 class TestPrimePowerFactorization:
@@ -264,6 +275,60 @@ class TestRowLcmRoutes:
             assert row_lcm_naive(n) == expected
             assert row_lcm_farhi(n) == expected
             assert row_lcm_valuation(n).expand() == expected
+
+
+def _valuation_reference(n: int, primes) -> PrimePowerFactorization:
+    # The reference: the public, checked DP, called once per prime.
+    return PrimePowerFactorization([(p, max_binomial_valuation(n, p)) for p in primes])
+
+
+class TestValuationRoute:
+    """row_lcm_valuation, DP below isqrt(n) and two-digit form above, against the per-prime DP."""
+
+    @given(st.integers(min_value=0, max_value=3 * 10**4))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_public_dp_over_sieve(self, n):
+        assert row_lcm_valuation(n) == _valuation_reference(n, sieve_primes(n))
+
+    def test_isqrt_boundary_full_sieve(self):
+        # n in {p^2 - 1, p^2, p^2 + 1} moves p across the isqrt(n) split.
+        for p in _primes_upto(100):
+            for n in (p * p - 1, p * p, p * p + 1):
+                assert row_lcm_valuation(n) == _valuation_reference(n, sieve_primes(n)), n
+
+    def test_isqrt_boundary_up_to_p_1000(self, monkeypatch):
+        # Sieving to n ~ 10^6 for each of these 504 n would take seconds, so
+        # the sieve is narrowed to every prime up to p + 200 (all those
+        # below the split and the first ones above it) and the 30 largest
+        # primes <= n; row_lcm_valuation still finds the split itself.
+        primes = _primes_upto(1000**2 + 1)
+        for p in _primes_upto(1000):
+            for n in (p * p - 1, p * p, p * p + 1):
+                upto_n = primes[: bisect_right(primes, n)]
+                window = sorted(set(upto_n[: bisect_right(upto_n, p + 200)] + upto_n[-30:]))
+
+                def narrowed(limit, n=n, window=window):
+                    assert limit == n
+                    return window
+
+                monkeypatch.setattr(engine, "_primes_upto", narrowed)
+                assert row_lcm_valuation(n) == _valuation_reference(n, window), n
+
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError, match="requires n >= 0"):
+            row_lcm_valuation(-1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 10, 24, 25, 26, 100, 1000, 30030, 99999])
+    def test_plain_int_keys_do_not_show(self, n):
+        got = row_lcm_valuation(n)
+        validated = PrimePowerFactorization(
+            {int(p): max_binomial_valuation(n, p) for p in sieve_primes(n)}
+        )
+        assert all(isinstance(p, Prime) for p in validated)
+        assert got == validated
+        assert hash(got) == hash(validated)
+        assert repr(got) == repr(validated)
+        assert got.to_pairs() == validated.to_pairs()
 
 
 class TestWeightedRowLcm:

@@ -13,6 +13,7 @@ from binomlcm import (
     kummer_binomial_valuation,
     legendre_factorial_valuation,
     max_binomial_valuation,
+    row_lcm_valuation,
     sieve_primes,
 )
 from helpers import trial_is_prime, vp_by_division
@@ -165,10 +166,29 @@ class TestMaxBinomialValuation:
     def test_zero_row(self):
         assert max_binomial_valuation(0, 2) == 0
 
+    def test_public_checks_kept(self):
+        with pytest.raises(DomainError, match="6 is not prime"):
+            max_binomial_valuation(10, 6)
+        with pytest.raises(DomainError, match="nonnegative"):
+            max_binomial_valuation(-1, 5)
+
     def test_prime_powers_have_full_exponent(self):
         # v_2 of C(2^a, 2^(a-1)) reaches a... the DP max at n = 2^a is a.
         for a in range(1, 10):
             assert max_binomial_valuation(2**a, 2) == a
+
+
+def test_two_digit_form_matches_kummer_enumeration():
+    # For p > isqrt(n), row_lcm_valuation skips the DP and reads the
+    # exponent off n's two base-p digits. Check every such p and n < 400
+    # against the carry count enumerated over the half row (by symmetry,
+    # the maximum over the whole row).
+    for n in range(0, 400):
+        row = row_lcm_valuation(n)
+        for p in sieve_primes(n):
+            if p > math.isqrt(n):
+                expected = max(kummer_binomial_valuation(n, k, p) for k in range(n // 2 + 1))
+                assert row.get(p) == expected, (n, int(p))
 
 
 def test_sieve_output_is_prime_typed_and_correct():
