@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import advance_digit_count, decimal_digits
-# Not used here: perfbench/layer_trace.py times the sieve behind
-# prime_power_bases under the name bounds._smallest_prime_factors.
-from .engine import _smallest_prime_factors  # noqa: F401
 from .engine import lcm_range, prime_power_bases
 from .errors import DomainError
+
+# Not used here: perfbench/layer_trace.py still times the prime-power table under this old name.
+_smallest_prime_factors = prime_power_bases
 
 __all__ = ["BoundsRecord", "check_bounds", "psi_table", "BOUNDS_CSV_HEADER", "BOUNDS_PLAIN_HEADER"]
 

@@ -23,8 +23,8 @@ lcm(1..m) = lcm(1..m-1) * p when m = p^a is a prime power, and
 lcm(1..m-1) otherwise (iter_range_lcms).
 
 Primes come from one bytearray sieve, _primes_upto, read out as plain
-ints; sieve_primes wraps them as Prime for the API. prime_power_bases
-still finds its primes with a separate smallest-prime-factor sieve.
+ints: lcm_range, prime_power_bases and row_lcm_valuation read it
+directly, and sieve_primes wraps its output as Prime for the API.
 
 All values are exact; nothing in this module goes through floats.
 """
@@ -35,8 +35,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, mul
+from itertools import accumulate, compress
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -76,9 +76,11 @@ def _product(values: list[int]) -> int:
 class PrimePowerFactorization:
     """A canonical product of prime powers, prod p^e with e >= 1.
 
-    Keys are validated primes in strictly increasing order and zero
-    exponents are never stored, so expand() is injective: two distinct
-    factorizations always expand to distinct integers.
+    Keys are primes in strictly increasing order and zero exponents are
+    never stored, so expand() is injective: two distinct factorizations
+    always expand to distinct integers. The constructor validates each
+    key as a Prime; lcm_range and row_lcm_valuation build through
+    _trusted with plain-int primes from _primes_upto.
     """
 
     __slots__ = ("_factors",)
@@ -99,8 +101,9 @@ class PrimePowerFactorization:
     @classmethod
     def _trusted(cls, sorted_items: list[tuple[int, int]]) -> "PrimePowerFactorization":
         # Internal fast path: items already sorted, prime, exponent >= 1.
-        # Keys may be plain ints: a Prime hashes and compares as its int,
-        # and repr and to_pairs call int(p), so nothing outside can tell.
+        # lcm_range and row_lcm_valuation pass plain-int keys: a Prime
+        # hashes and compares as its int, and repr and to_pairs call
+        # int(p), so nothing outside can tell.
         obj = object.__new__(cls)
         obj._factors = dict(sorted_items)
         return obj
@@ -207,35 +210,19 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     """lcm(1..n) as prod over primes p <= n of p^max{e : p^e <= n}."""
     if n < 1:
         raise DomainError("lcm_range requires n >= 1")
-    return PrimePowerFactorization._trusted(
-        [(p, _range_exponent(p, n)) for p in sieve_primes(n, caps=caps)]
-    )
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[m] = the smallest prime factor of m for 2 <= m <= limit (spf[0] = 0, spf[1] = 1)."""
-    spf = list(range(limit + 1))
-    root = math.isqrt(limit)
-    primes = []
-    for p in range(2, root + 1):  # the primes up to root, sieving only spf[:root + 1]
-        if spf[p] == p:
-            primes.append(p)
-            spf[p * p : root + 1 : p] = [p] * len(range(p * p, root + 1, p))
-    for p in reversed(primes):  # descending, so the smallest prime factor is written last
-        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
-    return spf
+    check_cap(n, caps.sieve_limit, "sieve limit")
+    return PrimePowerFactorization._trusted([(p, _range_exponent(p, n)) for p in _primes_upto(n)])
 
 
 def prime_power_bases(limit: int) -> list[int]:
     """base[m] = p when m = p^a (a >= 1) is a prime power, else 1, for 0 <= m <= limit.
 
     lcm(1..m) = lcm(1..m-1) * base[m]: the range lcm gains the factor p
-    exactly at the powers of p. One smallest-prime-factor sieve finds
-    the primes; their powers are walked by repeated multiplication.
+    exactly at the powers of p. The primes come from _primes_upto; their
+    powers are walked by repeated multiplication.
     """
-    spf = _smallest_prime_factors(limit)
     base = [1] * (limit + 1)
-    for p in compress(range(2, limit + 1), map(eq, spf[2:], range(2, limit + 1))):
+    for p in _primes_upto(limit):
         q = p
         while q <= limit:
             base[q] = p
@@ -252,10 +239,7 @@ def iter_range_lcms(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterato
     if limit < 0:
         raise DomainError("limit must be a nonnegative integer")
     check_cap(limit, caps.sieve_limit, "sieve limit")
-    running = 1
-    for base in prime_power_bases(limit):
-        running *= base
-        yield running
+    yield from accumulate(prime_power_bases(limit), mul)
 
 
 def lcm_sequence(values: Iterable[int]) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
     "Prime",
@@ -130,8 +130,6 @@ def binomial_valuation(n: int, k: int, p) -> int:
     Both formulas run on every call; a disagreement would mean this
     library is broken and raises InternalConsistencyError.
     """
-    from .errors import InternalConsistencyError
-
     p = _as_prime(p)
     if not 0 <= k <= n:
         raise DomainError(f"require 0 <= k <= n, got n={n}, k={k}")

@@ -63,6 +63,11 @@ class TestLcmRange:
         code, _, err = invoke(capsys, "lcm-range", "1000", "--max-sieve", "100")
         assert code == 3 and "cap" in err
 
+    def test_sieve_cap_edge(self, capsys):
+        assert invoke(capsys, "lcm-range", "10", "--max-sieve", "10") == (0, "2520\n", "")
+        code, out, err = invoke(capsys, "lcm-range", "11", "--max-sieve", "10")
+        assert (code, out, err) == (3, "", "binomlcm: resource cap: sieve limit 11 exceeds the configured cap 10\n")
+
     def test_large_value_prints_fully(self, capsys):
         code, out, _ = invoke(capsys, "lcm-range", "20000")
         assert code == 0

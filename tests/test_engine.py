@@ -127,6 +127,14 @@ class TestLcmRange:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             lcm_range(0)
+        with pytest.raises(DomainError):
+            lcm_range(0, caps=ResourceCaps(sieve_limit=0))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 121, 1000])
+    def test_sieve_cap_edge(self, n):
+        assert lcm_range(n, caps=ResourceCaps(sieve_limit=n)) == lcm_range(n)
+        with pytest.raises(ResourceCapError, match=f"^sieve limit {n + 1} exceeds the configured cap {n}$"):
+            lcm_range(n + 1, caps=ResourceCaps(sieve_limit=n))
 
     def test_matches_fold_oracle(self):
         # Full n <= 2000 equivalence runs in the acceptance suite.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomlcm
 from binomlcm import (
     DomainError,
     EquivalenceChainReport,
@@ -360,7 +361,11 @@ class TestCarriedRangeLcm:
             if n % 97 == 0 or n in (1, 2, 1999, 2000):
                 assert running == (brute_range_lcm(n) if n else 1), n
 
-    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 10_000])
+    @pytest.mark.parametrize(
+        "limit",
+        # 121 = 11^2, 125 = 5^3, 2048 = 2^11, 2187 = 3^7, each with its neighbours.
+        [0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 122, 124, 125, 126, 2047, 2048, 2049, 2186, 2187, 2188, 10_000],
+    )
     def test_prime_power_bases(self, limit):
         bases = prime_power_bases(limit)
         assert len(bases) == limit + 1 and bases[:2] == [1, 1][: limit + 1]
@@ -431,7 +436,27 @@ def test_sweep_sieves_once_and_rebuilds_no_range_lcm(monkeypatch):
     sieves = _count_calls(monkeypatch, "sieve_primes")
     ranges = _count_calls(monkeypatch, "lcm_range")
     tables = _count_calls(monkeypatch, "prime_power_bases")
+    passes = _count_calls(monkeypatch, "_primes_upto")
     reports = verify_range(list(Theorem), 1, 200)
     assert len(reports) == 7 * 200
     assert all(r.holds if isinstance(r, IdentityReport) else r.all_equal for r in reports)
-    assert (len(sieves), len(ranges), tables) == (0, 0, [(201,)])
+    assert (len(sieves), len(ranges), tables, passes) == (0, 0, [(201,)], [(201,)])
+
+
+@pytest.mark.parametrize(
+    "route, arg, limit",
+    [
+        ("psi_table", 5000, 5000),
+        ("lcm_range", 1000, 1000),
+        ("row_lcm_farhi", 1000, 1001),
+        ("row_lcm_valuation", 1000, 1000),
+    ],
+)
+def test_each_prime_route_runs_the_plain_int_sieve_once(monkeypatch, route, arg, limit):
+    fn = getattr(binomlcm, route)
+    sieves = _count_calls(monkeypatch, "sieve_primes")
+    passes = _count_calls(monkeypatch, "_primes_upto")
+    result = fn(arg)
+    assert (sieves, passes) == ([], [(limit,)])
+    if isinstance(result, binomlcm.PrimePowerFactorization):
+        assert all(type(p) is int for p in result)
