@@ -35,8 +35,9 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -153,10 +154,25 @@ class PrimePowerFactorization:
 
 @dataclass(frozen=True)
 class BinomialRow:
-    """Row n of Pascal's triangle: entries[k] == C(n,k), exactly."""
+    """Row n of Pascal's triangle: entries[k] == C(n,k), exactly.
+
+    Its two lcm folds are cached on the row, each folded at most once per
+    row object: the identity sweep reads row n at n and again as the
+    previous row at n+1. Equality, hash and repr read only n and entries.
+    """
 
     n: int
     entries: tuple[int, ...]
+
+    @cached_property
+    def lcm(self) -> int:
+        """lcm of C(n,0..n)."""
+        return _fold_row_lcm(self)
+
+    @cached_property
+    def weighted_lcm(self) -> int:
+        """lcm of k*C(n,k) for k = 1..n; 1 (the empty lcm) for row 0."""
+        return _fold_weighted_lcm(self)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -260,7 +276,7 @@ def lcm_sequence(values: Iterable[int]) -> int:
 
 
 def iter_binomial_rows(n_max: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterator[BinomialRow]:
-    """Yield rows 0..n_max by extending one Pascal row in place.
+    """Yield rows 0..n_max, each built from the one before by Pascal's rule.
 
     Sweeps over many consecutive rows should use this: building row n
     from scratch costs O(n^2) additions, while the incremental sweep
@@ -269,14 +285,11 @@ def iter_binomial_rows(n_max: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iter
     if n_max < 0:
         raise DomainError("n_max must be a nonnegative integer")
     check_cap(n_max, caps.full_row_n, "binomial row n")
-    row = [1]
-    yield BinomialRow(0, (1,))
+    row = (1,)
+    yield BinomialRow(0, row)
     for n in range(1, n_max + 1):
-        nxt = [1] * (n + 1)
-        for i in range(1, n):
-            nxt[i] = row[i - 1] + row[i]
-        row = nxt
-        yield BinomialRow(n, tuple(row))
+        row = (1, *map(add, row, row[1:]), 1)
+        yield BinomialRow(n, row)
 
 
 def binomial_row(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BinomialRow:
@@ -317,7 +330,7 @@ def _fold_half_row_lcm(row: BinomialRow) -> int:
 
 def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n): materialize the row, fold. The oracle route."""
-    return _fold_row_lcm(binomial_row(n, caps=caps))
+    return binomial_row(n, caps=caps).lcm
 
 
 def row_lcm_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
@@ -374,4 +387,4 @@ def weighted_row_lcm(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of the weighted row k*C(n,k) for k = 1..n."""
     if n < 1:
         raise DomainError("weighted_row_lcm requires n >= 1")
-    return _fold_weighted_lcm(binomial_row(n, caps=caps))
+    return binomial_row(n, caps=caps).weighted_lcm

@@ -13,12 +13,16 @@ The identities, in the ids used throughout this package:
     CHAIN          T1 -> T4 -> T3 -> lcm(1..n), the four linked quantities
 
 Each identity is one registry entry fed by one shared Pascal row sweep;
-a single n is the range [n, n]. T4 is the bridge that makes T1 and T3
-equivalent: its left side is T1's left side and its right side is T3's
-left side, here the very same cached per-n values. Everywhere else the
-two sides of a report go through maximally independent routes (e.g. no
-left side ever touches the prime-power factorization that produces the
-right side), so a single bug cannot silently hold an identity up.
+a single n is the range [n, n]. The sweep is one loop that hands every
+builder the same facts at n: rows n-1 and n, lcm(1..n) and lcm(1..n+1).
+Each row caches its own folds, so the fold of row n made at n is the
+very value read as the previous row's at n+1. T4 is the bridge that
+makes T1 and T3 equivalent: its left side is T1's left side and its
+right side is T3's left side, here the very same cached values.
+Everywhere else the two sides of a report go through maximally
+independent routes (e.g. no left side ever touches the prime-power
+factorization that produces the right side), so a single bug cannot
+silently hold an identity up.
 
 The sweep carries lcm(1..n) and lcm(1..n+1) from one n to the next (one
 sieve for the whole range, one small multiplication at each prime
@@ -40,21 +44,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, pairwise, repeat
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_str
-from .engine import (
-    BinomialRow,
-    _fold_half_row_lcm,
-    _fold_row_lcm,
-    _fold_weighted_lcm,
-    iter_binomial_rows,
-    iter_range_lcms,
-    row_quotient,
-)
+from .engine import BinomialRow, _fold_half_row_lcm, iter_binomial_rows, iter_range_lcms, row_quotient
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
@@ -209,38 +205,29 @@ class EquivalenceChainReport:
 
 @dataclass
 class _Facts:
-    """The quantities at n that several identities share, each built once."""
+    """The quantities at n that several identities share.
+
+    The row folds are cached on the rows (BinomialRow.lcm, .weighted_lcm);
+    only n * lcm(row n-1) is cached here.
+    """
 
     n: int
     prev: BinomialRow | None  # row n-1; None at n = 0
-    row: BinomialRow | None  # row n; None when no selected identity reads it
+    row: BinomialRow | None  # row n; None at last when no selected identity reads it
     range_lcm: int | None  # lcm(1..n); None when no selected identity reads a range lcm
     next_range_lcm: int | None  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
-    known_prev_lcm: int | None = None  # fold of row n-1, when the facts at n-1 made it
-
-    @cached_property
-    def weighted_lcm(self) -> int:
-        return _fold_weighted_lcm(self.row)
-
-    @cached_property
-    def row_lcm(self) -> int:
-        return _fold_row_lcm(self.row)
-
-    @cached_property
-    def prev_lcm(self) -> int:
-        return _fold_row_lcm(self.prev) if self.known_prev_lcm is None else self.known_prev_lcm
 
     @cached_property
     def scaled_prev_lcm(self) -> int:
-        return self.n * self.prev_lcm
+        return self.n * self.prev.lcm
 
 
 def _theorem5_report(f: _Facts) -> IdentityReport:
     half = _fold_half_row_lcm(f.prev)
     # Sub-check: by symmetry the half row must already carry the full
     # row's lcm. A violation is a library bug, not a failed identity.
-    if half != f.prev_lcm:
-        raise InternalConsistencyError(f"half-row lcm {half} != full-row lcm {f.prev_lcm} for row {f.prev.n}")
+    if half != f.prev.lcm:
+        raise InternalConsistencyError(f"half-row lcm {half} != full-row lcm {f.prev.lcm} for row {f.prev.n}")
     return IdentityReport.build(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
 
 
@@ -287,17 +274,17 @@ class _Entry(NamedTuple):
 
 _REGISTRY = {
     Theorem.T1: _Entry(1, True, 0, lambda f: IdentityReport.build(
-        Theorem.T1, f.n, f.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
+        Theorem.T1, f.n, f.row.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
     Theorem.T2: _Entry(0, True, 1, lambda f: IdentityReport.build(
-        Theorem.T2, f.n, f.row_lcm, row_quotient(f.next_range_lcm, f.n), _M_ROW_FOLD, _M_FARHI_QUOT)),
+        Theorem.T2, f.n, f.row.lcm, row_quotient(f.next_range_lcm, f.n), _M_ROW_FOLD, _M_FARHI_QUOT)),
     Theorem.T3: _Entry(1, False, 0, lambda f: IdentityReport.build(
         Theorem.T3, f.n, f.scaled_prev_lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
     Theorem.T4: _Entry(1, True, None, lambda f: IdentityReport.build(
-        Theorem.T4, f.n, f.weighted_lcm, f.scaled_prev_lcm, _M_WEIGHTED, _M_SCALED_PREV)),
+        Theorem.T4, f.n, f.row.weighted_lcm, f.scaled_prev_lcm, _M_WEIGHTED, _M_SCALED_PREV)),
     Theorem.T5: _Entry(1, False, 0, _theorem5_report),
     Theorem.TERMWISE: _Entry(1, True, None, _termwise_report),
     Theorem.CHAIN: _Entry(1, True, 0, lambda f: EquivalenceChainReport.build(
-        f.n, f.weighted_lcm, f.scaled_prev_lcm, f.range_lcm)),
+        f.n, f.row.weighted_lcm, f.scaled_prev_lcm, f.range_lcm)),
 }
 _NAMES = {Theorem.CHAIN: "equivalence chain"}
 
@@ -328,29 +315,25 @@ def verify_range(
             name = _NAMES.get(theorem, theorem.value)
             raise DomainError(f"{name} requires n >= {entry.first}, got from={first}")
 
+    # (row n-1, row n) at each n from 0; rows stop at last - 1 when no
+    # selected theorem reads row n, and None fills in past them.
     reads_row = any(e.reads_row for e in entries)
-    rows = iter_binomial_rows(last if reads_row else last - 1, caps=caps)
+    rows = pairwise(chain([None], iter_binomial_rows(last if reads_row else last - 1, caps=caps), repeat(None)))
     # (lcm(1..n), lcm(1..n+1)) at each n from 0, from one sieve through
-    # last + reach; the second is None past it. zip pulls row 0 before the
-    # first pair, so the row cap is checked before the sieve cap.
+    # last + reach; the second is None past it. zip pulls the first row
+    # pair before the first lcm pair, so the row cap is checked before
+    # the sieve cap.
     reach = max((e.reach for e in entries if e.reach is not None), default=None)
     if reach is None:
         lcms = repeat((None, None))
     else:
         lcms = pairwise(chain(iter_range_lcms(last + reach, caps=caps), [None]))
     groups: list[list] = [[] for _ in entries]
-    prev = None
-    carried = None
-    for row, (range_lcm, next_range_lcm) in zip(rows, islice(lcms, 0 if reads_row else 1, None)):
-        if reads_row:
-            facts = _Facts(row.n, prev, row, range_lcm, next_range_lcm, carried)
-        else:
-            facts = _Facts(row.n + 1, row, None, range_lcm, next_range_lcm)
-        if facts.n >= first:
+    for n, (prev, row), (range_lcm, next_range_lcm) in zip(range(last + 1), rows, lcms):
+        if n >= first:
+            facts = _Facts(n, prev, row, range_lcm, next_range_lcm)
             for group, entry in zip(groups, entries):
                 group.append(entry.build(facts))
-        prev = row
-        carried = vars(facts).get("row_lcm")  # present only if a builder read it
     return [report for group in groups for report in group]
 
 

@@ -1,5 +1,8 @@
 """Bench harness: attestation before timing, abort on disagreement."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from binomlcm import (
@@ -14,6 +17,7 @@ from binomlcm import (
     row_lcm_naive,
     row_lcm_valuation,
 )
+from binomlcm import bench
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.cli import run
 
@@ -108,7 +112,7 @@ class TestRangeBench:
             bench_range_methods([10, 50], 3, methods={"only": (counted, lambda n: n < 20)})
         assert counted.calls == 0  # n = 10 was neither attested nor timed
         with pytest.raises(ResourceCapError, match="range_lcm bench at n=50"):
-            bench_range_methods([50], 3, caps=ResourceCaps(fold_range_n=1, valuation_n=1))
+            bench_range_methods([50], 3, caps=ResourceCaps(fold_range_n=1, sieve_limit=1))
 
     def test_fault_injection(self):
         with pytest.raises(InternalConsistencyError):
@@ -120,6 +124,48 @@ class TestRangeBench:
                     "corrupted": (lambda n: row_lcm_valuation(n).expand() * 2, _always),
                 },
             )
+
+
+@pytest.mark.parametrize(
+    "table, method",
+    [
+        (bench._row_methods, "naive"),
+        (bench._row_methods, "farhi"),
+        (bench._row_methods, "valuation"),
+        (bench._range_methods, "factorization"),
+    ],
+)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ResourceCaps)])
+@pytest.mark.parametrize("cap", [29, 30, 31])
+def test_feasibility_predicate_matches_the_route_cap_checks(table, method, field, cap):
+    # The bench refuses exactly the n the route itself would refuse.
+    n = 30
+    fn, feasible = table(ResourceCaps(**{field: cap}))[method]
+    try:
+        fn(n)
+    except ResourceCapError:
+        assert not feasible(n)
+    else:
+        assert feasible(n)
+
+
+@pytest.mark.parametrize(
+    "reps, elapsed, median_ns, p90_ns",
+    [
+        (5, [50, 10, 40, 30, 20], 30, 50),
+        (4, [7, 1, 4, 100], 5, 100),  # middle sum 4 + 7 is odd: the median rounds down
+    ],
+)
+def test_median_and_p90_of_the_timed_samples(monkeypatch, reps, elapsed, median_ns, p90_ns):
+    # One warm-up sample of 999 first; it must not count.
+    ticks = []
+    clock = 0
+    for e in [999, *elapsed]:
+        ticks += [clock, clock + e]
+        clock += e
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=iter(ticks).__next__))
+    (record,) = bench_row_methods([4], reps, methods={"fake": (lambda n: 1, _always)})
+    assert (record.median_ns, record.p90_ns) == (median_ns, p90_ns)
 
 
 class TestRecordOutput:

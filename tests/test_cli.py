@@ -222,7 +222,7 @@ class TestBench:
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     def test_every_method_capped_exit_3(self, capsys, fmt):
         code, out, err = invoke(
-            capsys, "bench", "range", "--ns", "50", "--reps", "3", "--max-fold", "1", "--max-valuation", "1",
+            capsys, "bench", "range", "--ns", "50", "--reps", "3", "--max-fold", "1", "--max-sieve", "1",
             "--format", fmt,
         )
         assert code == 3 and out == ""
@@ -247,7 +247,7 @@ CAP_CASES = [
     (
         "BINOMLCM_MAX_FOLD",
         "--max-fold",
-        ["bench", "range", "--ns", "10", "--reps", "3", "--max-valuation", "1"],
+        ["bench", "range", "--ns", "10", "--reps", "3", "--max-sieve", "1"],
         "range_lcm fold n=10 reps=3 ",
     ),
     (

@@ -248,6 +248,37 @@ class TestBinomialRow:
         assert row[2] == 6
         assert list(row) == [1, 4, 6, 4, 1]
 
+    def test_cached_folds_match_oracles(self):
+        for row in iter_binomial_rows(150):
+            assert row.lcm == brute_row_lcm(row.n)
+            assert row.weighted_lcm == (brute_weighted_row_lcm(row.n) if row.n else 1)
+
+    def test_each_fold_runs_once_per_row(self, monkeypatch):
+        calls = []
+
+        def counted(fold):
+            def wrapper(row):
+                calls.append(fold.__name__)
+                return fold(row)
+
+            return wrapper
+
+        for name in ("_fold_row_lcm", "_fold_weighted_lcm"):
+            monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+        row = binomial_row(12)
+        for _ in range(2):
+            assert (row.lcm, row.weighted_lcm) == (brute_row_lcm(12), brute_range_lcm(12))
+        assert calls == ["_fold_row_lcm", "_fold_weighted_lcm"]
+        # The cache is per object: a fresh row 12 folds again.
+        assert binomial_row(12).lcm == row.lcm and len(calls) == 3
+
+    def test_fold_reads_leave_equality_hash_and_repr_alone(self):
+        row, twin = binomial_row(9), binomial_row(9)
+        before = (hash(row), repr(row))
+        assert (row.lcm, row.weighted_lcm) == (brute_row_lcm(9), brute_range_lcm(9))
+        assert row == twin and (hash(row), repr(row)) == before == (hash(twin), repr(twin))
+        assert repr(row) == f"BinomialRow(n=9, entries={row.entries!r})"
+
 
 class TestRowLcmRoutes:
     def test_naive_examples(self):

@@ -443,6 +443,27 @@ def test_sweep_sieves_once_and_rebuilds_no_range_lcm(monkeypatch):
     assert (len(sieves), len(ranges), tables, passes) == (0, 0, [(201,)], [(201,)])
 
 
+# (row, weighted, half) fold calls over verify_range(selection, 1, 200): each
+# row folds at most once, whether it is read as row n or as row n-1.
+FOLD_CALLS = [
+    ("all", list(Theorem), (201, 200, 200)),
+    ("T1", [Theorem.T1], (0, 200, 0)),
+    ("T2", [Theorem.T2], (200, 0, 0)),
+    ("T3", [Theorem.T3], (200, 0, 0)),
+    ("T2+T3", [Theorem.T2, Theorem.T3], (201, 0, 0)),
+    ("T5", [Theorem.T5], (200, 0, 200)),
+    ("TERMWISE", [Theorem.TERMWISE], (0, 0, 0)),
+    ("CHAIN", [Theorem.CHAIN], (200, 200, 0)),
+]
+
+
+@pytest.mark.parametrize("selection, expected", [c[1:] for c in FOLD_CALLS], ids=[c[0] for c in FOLD_CALLS])
+def test_each_row_folds_once_across_the_sweep(monkeypatch, selection, expected):
+    folds = [_count_calls(monkeypatch, name) for name in ("_fold_row_lcm", "_fold_weighted_lcm", "_fold_half_row_lcm")]
+    verify_range(selection, 1, 200)
+    assert tuple(map(len, folds)) == expected
+
+
 @pytest.mark.parametrize(
     "route, arg, limit",
     [
