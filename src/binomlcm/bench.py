@@ -1,10 +1,12 @@
 """Timing harness for the competing lcm routes, correctness first.
 
-Nothing is timed until every method that will be timed has produced the
-same exact value for the same input; a disagreement aborts the whole
-run with InternalConsistencyError and no records. Records therefore
-always carry verified == True. An n for which the caps leave no method
-is refused with ResourceCapError before anything is attested or timed.
+Each route is the only judge of its own caps: over them at n, it raises
+ResourceCapError before any work and is skipped at that n. Every n is
+attested before any is timed: the routes left at each n must produce
+the same exact value, and a disagreement aborts the whole run with
+InternalConsistencyError and no records. Records therefore always carry
+verified == True. An n at which every route is over its caps is refused
+with ResourceCapError before anything is timed.
 
 Timing loops are strictly single-threaded and sequential; running
 benchmarks concurrently with other work invalidates the numbers.
@@ -17,10 +19,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import ceil
 from typing import Callable, Mapping
 
-from .caps import DEFAULT_CAPS, ResourceCaps
+from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import decimal_digits
 from .engine import (
     PrimePowerFactorization,
@@ -88,42 +91,31 @@ class BenchRecord:
         ]
 
 
-def _row_methods(caps: ResourceCaps) -> dict[str, tuple[Callable[[int], object], Callable[[int], bool]]]:
-    # method -> (callable, feasibility predicate)
-    return {
-        "naive": (
-            lambda n: row_lcm_naive(n, caps=caps),
-            lambda n: n <= caps.full_row_n,
-        ),
-        "farhi": (
-            lambda n: row_lcm_farhi(n, caps=caps),
-            lambda n: n + 1 <= caps.sieve_limit,
-        ),
-        "valuation": (
-            lambda n: row_lcm_valuation(n, caps=caps),
-            lambda n: n <= caps.valuation_n and n <= caps.sieve_limit,
-        ),
-    }
+def _fold_range(n: int, caps: ResourceCaps) -> int:
+    check_cap(n, caps.fold_range_n, "fold range-lcm n")
+    return lcm_sequence(range(1, n + 1))
 
 
-def _range_methods(caps: ResourceCaps) -> dict[str, tuple[Callable[[int], object], Callable[[int], bool]]]:
-    return {
-        "fold": (
-            lambda n: lcm_sequence(range(1, n + 1)),
-            lambda n: n <= caps.fold_range_n,
-        ),
-        "factorization": (
-            lambda n: lcm_range(n, caps=caps),
-            lambda n: n <= caps.sieve_limit,
-        ),
-    }
+# name -> route(n, caps). Each route checks its own caps and raises
+# ResourceCapError before any work. The routes look the engine up in
+# this module's globals, so one rebound here later (by a tracer, say)
+# is the one called.
+ROW_ROUTES = {
+    "naive": lambda n, caps: row_lcm_naive(n, caps=caps),
+    "farhi": lambda n, caps: row_lcm_farhi(n, caps=caps),
+    "valuation": lambda n, caps: row_lcm_valuation(n, caps=caps),
+}
+RANGE_ROUTES = {
+    "fold": _fold_range,
+    "factorization": lambda n, caps: lcm_range(n, caps=caps),
+}
 
 
 def _as_int(value) -> int:
     return value.expand() if isinstance(value, PrimePowerFactorization) else value
 
 
-def _bench_task(task, method_table, ns, reps, warmup, smallest) -> list[BenchRecord]:
+def _bench_task(task, routes, caps, methods, ns, reps, smallest) -> list[BenchRecord]:
     if not ns:
         raise DomainError("no n to bench: the n list is empty")
     for n in ns:
@@ -131,33 +123,38 @@ def _bench_task(task, method_table, ns, reps, warmup, smallest) -> list[BenchRec
             raise DomainError(f"{task.value} bench requires n >= {smallest}, got {n}")
     if reps < 3:
         raise DomainError(f"reps must be >= 3, got {reps}")
-    if warmup < 1:
-        raise DomainError(f"warmup must be >= 1, got {warmup}")
-    plan = [(n, {m: fn for m, (fn, ok) in method_table.items() if ok(n)}) for n in ns]
-    for n, feasible in plan:
-        if not feasible:
+    if methods is None:
+        methods = {m: partial(route, caps=caps) for m, route in routes.items()}
+    # Attestation pass: at every n, the routes within their caps must
+    # agree exactly before any route is timed at any n.
+    plan = []
+    for n in ns:
+        values = {}
+        for m, fn in methods.items():
+            try:
+                value = fn(n)
+            except ResourceCapError:
+                continue
+            values[m] = _as_int(value)
+        if not values:
             raise ResourceCapError(f"{task.value} bench at n={n}: every method is over its resource cap")
-    records = []
-    for n, feasible in plan:
-        # Attestation pass: every feasible method must agree exactly
-        # before any of them is timed.
-        values = {m: _as_int(fn(n)) for m, fn in feasible.items()}
-        distinct = set(values.values())
-        if len(distinct) > 1:
+        if len(set(values.values())) > 1:
             detail = ", ".join(f"{m}={decimal_digits(v)}d" for m, v in sorted(values.items()))
             raise InternalConsistencyError(
                 f"{task.value} methods disagree at n={n} ({detail}); "
                 "no timings emitted"
             )
-        digits = decimal_digits(next(iter(values.values())))
-        for method, fn in feasible.items():
+        plan.append((n, list(values), decimal_digits(next(iter(values.values())))))
+    records = []
+    for n, feasible, digits in plan:
+        for method in feasible:
+            fn = methods[method]
+            fn(n)  # warm-up, untimed
             samples = []
-            for i in range(warmup + reps):
+            for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 fn(n)
-                elapsed = time.perf_counter_ns() - t0
-                if i >= warmup:
-                    samples.append(elapsed)
+                samples.append(time.perf_counter_ns() - t0)
             samples.sort()
             median_ns = (samples[(reps - 1) // 2] + samples[reps // 2]) // 2
             p90_ns = samples[ceil(0.9 * reps) - 1]
@@ -183,17 +180,15 @@ def bench_row_methods(
     reps: int,
     *,
     caps: ResourceCaps = DEFAULT_CAPS,
-    warmup: int = 1,
-    methods: Mapping | None = None,
+    methods: Mapping[str, Callable[[int], object]] | None = None,
 ) -> list[BenchRecord]:
-    """Time the row-lcm routes on each n they are feasible for.
+    """Time the row-lcm routes at each n, each only within its own caps.
 
-    ``methods`` overrides the method table (same shape as the default:
-    name -> (callable, feasibility predicate)); exists for fault
-    injection in tests.
+    ``methods`` replaces the routes with name -> callable(n), for fault
+    injection in tests; a callable refuses an n by raising
+    ResourceCapError.
     """
-    table = dict(methods) if methods is not None else _row_methods(caps)
-    return _bench_task(Task.ROW_LCM, table, ns, reps, warmup, 0)
+    return _bench_task(Task.ROW_LCM, ROW_ROUTES, caps, methods, ns, reps, 0)
 
 
 def bench_range_methods(
@@ -201,9 +196,7 @@ def bench_range_methods(
     reps: int,
     *,
     caps: ResourceCaps = DEFAULT_CAPS,
-    warmup: int = 1,
-    methods: Mapping | None = None,
+    methods: Mapping[str, Callable[[int], object]] | None = None,
 ) -> list[BenchRecord]:
-    """Time the range-lcm routes (gcd fold vs factorization)."""
-    table = dict(methods) if methods is not None else _range_methods(caps)
-    return _bench_task(Task.RANGE_LCM, table, ns, reps, warmup, 1)
+    """Time the range-lcm routes (gcd fold vs factorization), as bench_row_methods."""
+    return _bench_task(Task.RANGE_LCM, RANGE_ROUTES, caps, methods, ns, reps, 1)

@@ -31,11 +31,11 @@ import json
 import os
 import sys
 
-from .bench import BENCH_CSV_HEADER, bench_range_methods, bench_row_methods
+from .bench import BENCH_CSV_HEADER, ROW_ROUTES, bench_range_methods, bench_row_methods
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from .caps import ResourceCaps
 from .digits import decimal_digits, decimal_str
-from .engine import PrimePowerFactorization, lcm_range, row_lcm_farhi, row_lcm_naive, row_lcm_valuation
+from .engine import PrimePowerFactorization, lcm_range
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
 
@@ -43,13 +43,6 @@ from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
 _THEOREM_BY_FLAG = {
     "1": Theorem.T1, "2": Theorem.T2, "3": Theorem.T3, "4": Theorem.T4, "5": Theorem.T5,
     "termwise": Theorem.TERMWISE, "chain": Theorem.CHAIN,
-}
-
-# Lambdas, so a route rebound in this module later (by a tracer, say) is called.
-_ROW_METHODS = {
-    "naive": lambda n, caps: row_lcm_naive(n, caps=caps),
-    "farhi": lambda n, caps: row_lcm_farhi(n, caps=caps),
-    "valuation": lambda n, caps: row_lcm_valuation(n, caps=caps),
 }
 
 
@@ -79,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("row-lcm", parents=[cap_parent], help="lcm of the binomial row C(N,0..N)")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=_ROW_METHODS, default="farhi")
+    p.add_argument("--method", choices=ROW_ROUTES, default="farhi")
     p.add_argument("--digits-only", action="store_true", help="print the digit count instead of the value")
     p.set_defaults(handler=_cmd_row_lcm)
 
@@ -188,7 +181,7 @@ def _cmd_lcm_range(args, caps) -> int:
 
 
 def _cmd_row_lcm(args, caps) -> int:
-    return _emit_value(args, _ROW_METHODS[args.method](args.n, caps), method=args.method)
+    return _emit_value(args, ROW_ROUTES[args.method](args.n, caps), method=args.method)
 
 
 def _cmd_verify(args, caps) -> int:

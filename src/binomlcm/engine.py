@@ -330,6 +330,8 @@ def _fold_half_row_lcm(row: BinomialRow) -> int:
 
 def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n): materialize the row, fold. The oracle route."""
+    if n < 0:
+        raise DomainError("row_lcm_naive requires n >= 0")
     return binomial_row(n, caps=caps).lcm
 
 

@@ -86,7 +86,11 @@ _M_TERM_RHS = "sum of n*C(n-1,t-1) over t=1..n, each term checked exactly"
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """One verified identity instance; holds is recomputed, never cached."""
+    """One verified identity instance.
+
+    holds is a stored field; __post_init__ refuses one that differs from
+    lhs == rhs.
+    """
 
     theorem: Theorem
     n: int

@@ -180,7 +180,7 @@ def test_criterion_10_bench_attests_before_timing():
 
         with pytest.raises(InternalConsistencyError):
             bench_row_methods(
-                [16], 3, methods={"good": (good, lambda n: True), "bad": (bad, lambda n: True)}
+                [16], 3, methods={"good": good, "bad": bad}
             )
         # One attestation call each; the timing loop never started.
         assert calls == {"good": 1, "bad": 1}

@@ -33,10 +33,6 @@ class CountingMethod:
         return self.fn(n) + self.corrupt_by
 
 
-def _always(_n):
-    return True
-
-
 class TestRowBench:
     def test_tiny_n_yields_all_three_verified(self):
         records = bench_row_methods([4], 3)
@@ -63,15 +59,11 @@ class TestRowBench:
         with pytest.raises(DomainError):
             bench_row_methods([4], 2)
 
-    def test_warmup_must_be_at_least_one(self):
-        with pytest.raises(DomainError):
-            bench_row_methods([4], 3, warmup=0)
-
     def test_warmup_and_reps_call_counts(self):
         counting = CountingMethod(row_lcm_naive)
-        records = bench_row_methods([6], reps=4, warmup=2, methods={"counted": (counting, _always)})
-        # 1 attestation + 2 warm-up + 4 timed
-        assert counting.calls == 7
+        records = bench_row_methods([6], reps=4, methods={"counted": counting})
+        # 1 attestation + 1 warm-up + 4 timed
+        assert counting.calls == 6
         assert records[0].reps == 4
 
     def test_fault_injection_aborts_with_no_timings(self):
@@ -81,12 +73,20 @@ class TestRowBench:
             bench_row_methods(
                 [12],
                 3,
-                methods={"naive": (good, _always), "farhi": (bad, _always)},
+                methods={"naive": good, "farhi": bad},
             )
         # Attestation ran each method exactly once; the timing loop
-        # (which would add warmup + reps calls) never started.
+        # (which would add warm-up + reps calls) never started.
         assert good.calls == 1
         assert bad.calls == 1
+
+    def test_disagreement_at_a_later_n_aborts_before_any_timing(self):
+        good = CountingMethod(row_lcm_naive)
+        bad = CountingMethod(lambda n: row_lcm_farhi(n) + (n == 12))
+        with pytest.raises(InternalConsistencyError, match="n=12"):
+            bench_row_methods([8, 12], 3, methods={"naive": good, "farhi": bad})
+        # One attestation call at each n; n = 8 was never timed.
+        assert good.calls == 2
 
 
 class TestRangeBench:
@@ -108,9 +108,16 @@ class TestRangeBench:
 
     def test_every_method_capped_is_refused_before_any_work(self):
         counted = CountingMethod(lambda n: 1)
+
+        def capped_from_20(n):
+            # Like every route: refuse before any work.
+            if n >= 20:
+                raise ResourceCapError(f"n {n} exceeds the configured cap 19")
+            return counted(n)
+
         with pytest.raises(ResourceCapError, match="n=50"):
-            bench_range_methods([10, 50], 3, methods={"only": (counted, lambda n: n < 20)})
-        assert counted.calls == 0  # n = 10 was neither attested nor timed
+            bench_range_methods([10, 50], 3, methods={"only": capped_from_20})
+        assert counted.calls == 1  # n = 10 was attested but never timed
         with pytest.raises(ResourceCapError, match="range_lcm bench at n=50"):
             bench_range_methods([50], 3, caps=ResourceCaps(fold_range_n=1, sieve_limit=1))
 
@@ -120,33 +127,38 @@ class TestRangeBench:
                 [50],
                 3,
                 methods={
-                    "fold": (lambda n: row_lcm_valuation(n).expand(), _always),
-                    "corrupted": (lambda n: row_lcm_valuation(n).expand() * 2, _always),
+                    "fold": lambda n: row_lcm_valuation(n).expand(),
+                    "corrupted": lambda n: row_lcm_valuation(n).expand() * 2,
                 },
             )
 
 
+_CAP_FIELDS = [f.name for f in dataclasses.fields(ResourceCaps)]
+
+
 @pytest.mark.parametrize(
-    "table, method",
-    [
-        (bench._row_methods, "naive"),
-        (bench._row_methods, "farhi"),
-        (bench._row_methods, "valuation"),
-        (bench._range_methods, "factorization"),
-    ],
+    "runner, routes",
+    [(bench_row_methods, bench.ROW_ROUTES), (bench_range_methods, bench.RANGE_ROUTES)],
+    ids=["row", "range"],
 )
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ResourceCaps)])
+@pytest.mark.parametrize("fields", [[f] for f in _CAP_FIELDS] + [_CAP_FIELDS], ids=[*_CAP_FIELDS, "all"])
 @pytest.mark.parametrize("cap", [29, 30, 31])
-def test_feasibility_predicate_matches_the_route_cap_checks(table, method, field, cap):
-    # The bench refuses exactly the n the route itself would refuse.
+def test_bench_times_exactly_the_routes_within_their_own_caps(runner, routes, fields, cap):
+    # The bench refuses exactly the n each route itself refuses.
     n = 30
-    fn, feasible = table(ResourceCaps(**{field: cap}))[method]
-    try:
-        fn(n)
-    except ResourceCapError:
-        assert not feasible(n)
+    caps = ResourceCaps(**{field: cap for field in fields})
+    within = []
+    for method, route in routes.items():
+        try:
+            route(n, caps)
+        except ResourceCapError:
+            continue
+        within.append(method)
+    if within:
+        assert [r.method for r in runner([n], 3, caps=caps)] == within
     else:
-        assert feasible(n)
+        with pytest.raises(ResourceCapError, match="every method is over its resource cap"):
+            runner([n], 3, caps=caps)
 
 
 @pytest.mark.parametrize(
@@ -157,15 +169,19 @@ def test_feasibility_predicate_matches_the_route_cap_checks(table, method, field
     ],
 )
 def test_median_and_p90_of_the_timed_samples(monkeypatch, reps, elapsed, median_ns, p90_ns):
-    # One warm-up sample of 999 first; it must not count.
-    ticks = []
-    clock = 0
-    for e in [999, *elapsed]:
-        ticks += [clock, clock + e]
-        clock += e
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=iter(ticks).__next__))
-    (record,) = bench_row_methods([4], reps, methods={"fake": (lambda n: 1, _always)})
+    # The fake clock moves only inside the route. Its attestation call
+    # and its warm-up call take 999 each; neither must count.
+    clock = [0]
+    durations = iter([999, 999, *elapsed])
+
+    def fake(_n):
+        clock[0] += next(durations)
+        return 1
+
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=lambda: clock[0]))
+    (record,) = bench_row_methods([4], reps, methods={"fake": fake})
     assert (record.median_ns, record.p90_ns) == (median_ns, p90_ns)
+    assert next(durations, None) is None  # no call beyond the 2 + reps
 
 
 class TestRecordOutput:
@@ -182,7 +198,7 @@ class TestRecordOutput:
             assert fields[-1] == "true"
 
     def test_json_dict(self):
-        (rec,) = bench_range_methods([10], 3, methods={"fold": (lambda n: 2520, _always)})
+        (rec,) = bench_range_methods([10], 3, methods={"fold": lambda n: 2520})
         doc = rec.to_json_dict()
         assert list(doc) == ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
         assert doc["task"] == "range_lcm"

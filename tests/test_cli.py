@@ -93,6 +93,11 @@ class TestRowLcm:
         assert doc["factorization"] == [[2, 2], [3, 1], [5, 1]]
         assert doc["value"] == "60"
 
+    @pytest.mark.parametrize("method", ["naive", "farhi", "valuation"])
+    def test_negative_n_names_the_route(self, capsys, method):
+        code, out, err = invoke(capsys, "row-lcm", "-1", "--method", method)
+        assert (code, out, err) == (2, "", f"binomlcm: domain error: row_lcm_{method} requires n >= 0\n")
+
     def test_naive_cap_exit_3(self, capsys):
         code, _, err = invoke(capsys, "row-lcm", "100", "--method", "naive", "--max-row", "10")
         assert code == 3 and "cap" in err
