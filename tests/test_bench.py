@@ -136,29 +136,35 @@ class TestRangeBench:
 _CAP_FIELDS = [f.name for f in dataclasses.fields(ResourceCaps)]
 
 
+def _within_own_caps(route, n, caps):
+    try:
+        route(n, caps)
+    except ResourceCapError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize(
-    "runner, routes",
-    [(bench_row_methods, bench.ROW_ROUTES), (bench_range_methods, bench.RANGE_ROUTES)],
-    ids=["row", "range"],
+    "runner, routes, method",
+    [(bench_row_methods, bench.ROW_ROUTES, name) for name in bench.ROW_ROUTES]
+    + [(bench_range_methods, bench.RANGE_ROUTES, name) for name in bench.RANGE_ROUTES],
+    ids=[*(f"row-{name}" for name in bench.ROW_ROUTES), *(f"range-{name}" for name in bench.RANGE_ROUTES)],
 )
 @pytest.mark.parametrize("fields", [[f] for f in _CAP_FIELDS] + [_CAP_FIELDS], ids=[*_CAP_FIELDS, "all"])
 @pytest.mark.parametrize("cap", [29, 30, 31])
-def test_bench_times_exactly_the_routes_within_their_own_caps(runner, routes, fields, cap):
-    # The bench refuses exactly the n each route itself refuses.
+def test_bench_times_a_route_exactly_when_its_own_caps_allow(runner, routes, method, fields, cap):
+    # The bench refuses exactly the n the route itself refuses.
     n = 30
     caps = ResourceCaps(**{field: cap for field in fields})
-    within = []
-    for method, route in routes.items():
-        try:
-            route(n, caps)
-        except ResourceCapError:
-            continue
-        within.append(method)
+    within = [name for name, route in routes.items() if _within_own_caps(route, n, caps)]
     if within:
-        assert [r.method for r in runner([n], 3, caps=caps)] == within
+        timed = [r.method for r in runner([n], 3, caps=caps)]
     else:
         with pytest.raises(ResourceCapError, match="every method is over its resource cap"):
             runner([n], 3, caps=caps)
+        timed = []
+    assert timed == within
+    assert (method in timed) == _within_own_caps(routes[method], n, caps)
 
 
 @pytest.mark.parametrize(
