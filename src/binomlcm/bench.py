@@ -17,11 +17,10 @@ it is machine-dependent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import decimal_digits
@@ -45,8 +44,7 @@ class Task(Enum):
     RANGE_LCM = "range_lcm"
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     task: Task
     method: str
     n: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import advance_digit_count, decimal_digits
@@ -36,8 +36,7 @@ BOUNDS_CSV_HEADER = ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "p
 BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}"
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(NamedTuple):
     n: int
     lcm_digits: int
     lower_2nm1_holds: bool

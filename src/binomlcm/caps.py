@@ -5,55 +5,68 @@ blow up (full-row materialization, big fold lcms, sieving) takes a
 ``caps`` keyword and checks against it before doing work. The defaults
 are sized for desk-scale runs.
 
-The fields of ResourceCaps are the one table of caps: each gives its
-default, its BINOMLCM_MAX_* environment variable (read only by the CLI;
-the library itself never touches the environment) and the help text of
-the CLI's matching --max-* flag, which wins over the variable.
+CAP_FIELDS is the one table of caps: each row gives a field of
+ResourceCaps, its default, its BINOMLCM_MAX_* environment variable (read
+only by the CLI; the library itself never touches the environment) and
+the help text of the CLI's matching --max-* flag, which wins over the
+variable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import ResourceCapError
 
 
-def _cap(default: int, env: str, flag_help: str):
-    return dataclasses.field(default=default, metadata={"env": env, "help": flag_help})
+class CapField(NamedTuple):
+    name: str
+    default: int
+    env: str
+    help: str
 
 
-@dataclass(frozen=True)
-class ResourceCaps:
-    """Per-method feasibility caps."""
+CAP_FIELDS = (
+    CapField("sieve_limit", 10_000_000, "BINOMLCM_MAX_SIEVE", "sieve limit"),
+    CapField("full_row_n", 5_000, "BINOMLCM_MAX_ROW", "full-row n cap"),
+    CapField("fold_range_n", 100_000, "BINOMLCM_MAX_FOLD", "fold range-lcm n cap"),
+    CapField("valuation_n", 1_000_000, "BINOMLCM_MAX_VALUATION", "valuation-method n cap"),
+)
 
-    sieve_limit: int = _cap(10_000_000, "BINOMLCM_MAX_SIEVE", "sieve limit")
-    full_row_n: int = _cap(5_000, "BINOMLCM_MAX_ROW", "full-row n cap")
-    fold_range_n: int = _cap(100_000, "BINOMLCM_MAX_FOLD", "fold range-lcm n cap")
-    valuation_n: int = _cap(1_000_000, "BINOMLCM_MAX_VALUATION", "valuation-method n cap")
 
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+class ResourceCaps(namedtuple("_CapsFields", [f.name for f in CAP_FIELDS], defaults=[f.default for f in CAP_FIELDS])):
+    """Per-method feasibility caps; every way of building one refuses a negative cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ResourceCaps":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 0:
-                raise ValueError(f"resource cap {field.name} must be >= 0, got {value}")
+                raise ValueError(f"resource cap {name} must be >= 0, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ResourceCaps":
+        # namedtuple's _make (and so _replace) would skip __new__'s check.
+        return cls(*iterable)
 
     def replace(self, **overrides) -> "ResourceCaps":
-        return dataclasses.replace(self, **overrides)
+        return self._replace(**overrides)
 
     @classmethod
     def from_env(cls, env=os.environ) -> "ResourceCaps":
         overrides = {}
-        for field in dataclasses.fields(cls):
-            var = field.metadata["env"]
-            raw = env.get(var)
+        for field in CAP_FIELDS:
+            raw = env.get(field.env)
             if raw is None:
                 continue
             try:
                 overrides[field.name] = int(raw)
             except ValueError as exc:
-                raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
+                raise ValueError(f"{field.env} must be an integer, got {raw!r}") from exc
         return cls(**overrides)
 
 

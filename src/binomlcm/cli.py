@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
 
 from .bench import BENCH_CSV_HEADER, ROW_ROUTES, bench_range_methods, bench_row_methods
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
-from .caps import ResourceCaps
+from .caps import CAP_FIELDS, ResourceCaps
 from .digits import decimal_digits, decimal_str
 from .engine import PrimePowerFactorization, lcm_range
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
@@ -49,10 +48,10 @@ _THEOREM_BY_FLAG = {
 def _cap_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("resource caps")
-    for field in dataclasses.fields(ResourceCaps):
-        env = field.metadata["env"]  # BINOMLCM_MAX_<CAP> -> --max-<cap>
-        flag = "--" + env.removeprefix("BINOMLCM_").lower().replace("_", "-")
-        g.add_argument(flag, dest=field.name, type=int, metavar="N", help=f"{field.metadata['help']} (env {env})")
+    for field in CAP_FIELDS:
+        # BINOMLCM_MAX_<CAP> -> --max-<cap>
+        flag = "--" + field.env.removeprefix("BINOMLCM_").lower().replace("_", "-")
+        g.add_argument(flag, dest=field.name, type=int, metavar="N", help=f"{field.help} (env {field.env})")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain", help="output format (default plain)")
     return p
 
@@ -104,7 +103,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
-    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(ResourceCaps)}
+    flags = {field.name: getattr(args, field.name) for field in CAP_FIELDS}
     return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 

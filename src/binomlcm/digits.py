@@ -18,8 +18,6 @@ its precision in a local copy of the thread's decimal context.
 
 from __future__ import annotations
 
-import decimal
-
 # A lower bound on log10(2) = 0.30102999566398119521373..., so a digit
 # estimate built from it never overshoots.
 _LOG10_2_NUM = 30102999566398119521
@@ -64,6 +62,10 @@ def decimal_str(x: int) -> str:
 
 
 def _to_decimal(x: int) -> decimal.Decimal:
+    # Imported here, its only use, so that importing the package (every
+    # CLI start) does not load decimal for the values small enough for str().
+    import decimal
+
     # Split x at half its bit width: x = hi * 2**w + lo, recursively, with
     # each 2**w built once per call. Inexact is trapped, so a conversion
     # that lost a digit raises instead of printing a wrong value.

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import add, mul
@@ -152,17 +151,32 @@ class PrimePowerFactorization:
         return [[int(p), e] for p, e in self._factors.items()]
 
 
-@dataclass(frozen=True)
 class BinomialRow:
     """Row n of Pascal's triangle: entries[k] == C(n,k), exactly.
 
     Its two lcm folds are cached on the row, each folded at most once per
     row object: the identity sweep reads row n at n and again as the
-    previous row at n+1. Equality, hash and repr read only n and entries.
+    previous row at n+1. Equality, hash and repr read only n and entries,
+    which cannot be reassigned.
     """
 
-    n: int
-    entries: tuple[int, ...]
+    def __init__(self, n: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to BinomialRow.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.entries) == (other.n, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"BinomialRow(n={self.n!r}, entries={self.entries!r})"
 
     @cached_property
     def lcm(self) -> int:
@@ -223,11 +237,19 @@ def _range_exponent(p: int, n: int) -> int:
 
 
 def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactorization:
-    """lcm(1..n) as prod over primes p <= n of p^max{e : p^e <= n}."""
+    """lcm(1..n) as prod over primes p <= n of p^max{e : p^e <= n}.
+
+    Every p > isqrt(n) has p^2 > n, so exponent 1: only the primes up
+    to the square root go through _range_exponent.
+    """
     if n < 1:
         raise DomainError("lcm_range requires n >= 1")
     check_cap(n, caps.sieve_limit, "sieve limit")
-    return PrimePowerFactorization._trusted([(p, _range_exponent(p, n)) for p in _primes_upto(n)])
+    primes = _primes_upto(n)
+    split = bisect_right(primes, math.isqrt(n))
+    items = [(p, _range_exponent(p, n)) for p in primes[:split]]
+    items += [(p, 1) for p in primes[split:]]
+    return PrimePowerFactorization._trusted(items)
 
 
 def prime_power_bases(limit: int) -> list[int]:

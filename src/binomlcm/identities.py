@@ -41,7 +41,6 @@ internal-consistency violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, pairwise, repeat
@@ -84,14 +83,7 @@ _M_TERM_LHS = "sum of t*C(n,t) over t=1..n, each term checked exactly"
 _M_TERM_RHS = "sum of n*C(n-1,t-1) over t=1..n, each term checked exactly"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One verified identity instance.
-
-    holds is a stored field; __post_init__ refuses one that differs from
-    lhs == rhs.
-    """
-
+class _IdentityFields(NamedTuple):
     theorem: Theorem
     n: int
     lhs: int
@@ -100,9 +92,25 @@ class IdentityReport:
     lhs_method: str
     rhs_method: str
 
-    def __post_init__(self):
-        if self.holds != (self.lhs == self.rhs):
+
+class IdentityReport(_IdentityFields):
+    """One verified identity instance.
+
+    holds is a stored field; the constructor, and so _make and _replace,
+    refuses one that differs from lhs == rhs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, theorem, n, lhs, rhs, holds, lhs_method, rhs_method) -> "IdentityReport":
+        if holds != (lhs == rhs):
             raise ValueError("holds must equal (lhs == rhs)")
+        return super().__new__(cls, theorem, n, lhs, rhs, holds, lhs_method, rhs_method)
+
+    @classmethod
+    def _make(cls, iterable) -> "IdentityReport":
+        # namedtuple's _make (and so _replace) would skip __new__'s check.
+        return cls(*iterable)
 
     @classmethod
     def build(cls, theorem, n, lhs, rhs, lhs_method, rhs_method) -> "IdentityReport":
@@ -141,15 +149,7 @@ class IdentityReport:
         }
 
 
-@dataclass(frozen=True)
-class EquivalenceChainReport:
-    """The four quantities linked by the T1 -> T4 -> T3 -> range chain.
-
-    q_thm4_rhs and q_thm3_lhs are the same expression by construction
-    (that identification is the bridge), so they are computed once and
-    reported twice to mirror the chain's structure.
-    """
-
+class _ChainFields(NamedTuple):
     n: int
     q_nair: int
     q_thm4_rhs: int
@@ -157,10 +157,27 @@ class EquivalenceChainReport:
     q_range: int
     all_equal: bool
 
-    def __post_init__(self):
-        coincide = self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs == self.q_range
-        if self.all_equal != coincide:
+
+class EquivalenceChainReport(_ChainFields):
+    """The four quantities linked by the T1 -> T4 -> T3 -> range chain.
+
+    q_thm4_rhs and q_thm3_lhs are the same expression by construction
+    (that identification is the bridge), so they are computed once and
+    reported twice to mirror the chain's structure. all_equal is a stored
+    field; the constructor, and so _make and _replace, refuses one that
+    differs from the four-way coincidence.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, q_nair, q_thm4_rhs, q_thm3_lhs, q_range, all_equal) -> "EquivalenceChainReport":
+        if all_equal != (q_nair == q_thm4_rhs == q_thm3_lhs == q_range):
             raise ValueError("all_equal must equal the four-way coincidence")
+        return super().__new__(cls, n, q_nair, q_thm4_rhs, q_thm3_lhs, q_range, all_equal)
+
+    @classmethod
+    def _make(cls, iterable) -> "EquivalenceChainReport":
+        return cls(*iterable)
 
     @classmethod
     def build(cls, n, q_nair, q_mid, q_range) -> "EquivalenceChainReport":
@@ -207,7 +224,6 @@ class EquivalenceChainReport:
 # row n or only row n-1, and a builder from the shared per-n facts.
 
 
-@dataclass
 class _Facts:
     """The quantities at n that several identities share.
 
@@ -215,11 +231,19 @@ class _Facts:
     only n * lcm(row n-1) is cached here.
     """
 
-    n: int
-    prev: BinomialRow | None  # row n-1; None at n = 0
-    row: BinomialRow | None  # row n; None at last when no selected identity reads it
-    range_lcm: int | None  # lcm(1..n); None when no selected identity reads a range lcm
-    next_range_lcm: int | None  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
+    def __init__(
+        self,
+        n: int,
+        prev: BinomialRow | None,  # row n-1; None at n = 0
+        row: BinomialRow | None,  # row n; None at last when no selected identity reads it
+        range_lcm: int | None,  # lcm(1..n); None when no selected identity reads a range lcm
+        next_range_lcm: int | None,  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
+    ):
+        self.n = n
+        self.prev = prev
+        self.row = row
+        self.range_lcm = range_lcm
+        self.next_range_lcm = next_range_lcm
 
     @cached_property
     def scaled_prev_lcm(self) -> int:

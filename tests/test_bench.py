@@ -1,6 +1,5 @@
 """Bench harness: attestation before timing, abort on disagreement."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +18,7 @@ from binomlcm import (
 )
 from binomlcm import bench
 from binomlcm.bench import BENCH_CSV_HEADER
+from binomlcm.caps import CAP_FIELDS
 from binomlcm.cli import run
 
 
@@ -133,7 +133,7 @@ class TestRangeBench:
             )
 
 
-_CAP_FIELDS = [f.name for f in dataclasses.fields(ResourceCaps)]
+_CAP_FIELDS = [f.name for f in CAP_FIELDS]
 
 
 def _within_own_caps(route, n, caps):

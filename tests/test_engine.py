@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomlcm import (
+    BinomialRow,
     DomainError,
     Prime,
     PrimePowerFactorization,
@@ -142,6 +143,15 @@ class TestLcmRange:
         for n in range(1, 301):
             running = math.lcm(running, n)
             assert lcm_range(n).expand() == running
+
+    @given(st.sampled_from(_primes_upto(89)), st.sampled_from([-1, 0, 1]))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_fold_oracle_around_prime_squares(self, p, offset):
+        # At n = p^2 the prime p = isqrt(n) is the last one whose exponent
+        # is above 1; at p^2 - 1 it is the first with exponent 1.
+        n = p * p + offset
+        assert lcm_range(n).expand() == brute_range_lcm(n)
+        assert lcm_range(n)[p] == (2 if offset >= 0 else 1)
 
     def test_exact_divisibility_by_endpoint(self):
         for n in range(0, 200):
@@ -278,6 +288,15 @@ class TestBinomialRow:
         assert (row.lcm, row.weighted_lcm) == (brute_row_lcm(9), brute_range_lcm(9))
         assert row == twin and (hash(row), repr(row)) == before == (hash(twin), repr(twin))
         assert repr(row) == f"BinomialRow(n=9, entries={row.entries!r})"
+
+    def test_equality_reads_type_n_and_entries_and_fields_stay_fixed(self):
+        row = binomial_row(4)
+        assert row == BinomialRow(4, (1, 4, 6, 4, 1)) and hash(row) == hash(BinomialRow(4, (1, 4, 6, 4, 1)))
+        assert row != BinomialRow(5, row.entries) and row != (4, row.entries)
+        for name, value in (("n", 5), ("entries", (1,)), ("lcm", 1)):
+            with pytest.raises(AttributeError):
+                setattr(row, name, value)
+        assert (row.n, row.entries, row.lcm) == (4, (1, 4, 6, 4, 1), 12)
 
 
 class TestRowLcmRoutes:
