@@ -28,4 +28,4 @@ show(bench_row_methods([20000], reps=3))
 print()
 
 print("=== range lcm: gcd fold vs prime-power factorization ===")
-show(bench_range_methods([1000, 10000, 100000], reps=3))
+show(bench_range_methods([1000, 10000, 30000], reps=3))

@@ -155,18 +155,27 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
 
 
 def _emit_value(args, result, **extra) -> int:
-    """Print one lcm, given as an int or as its factorization (JSON keeps it)."""
+    """Print one lcm, given as an int or as its factorization (JSON keeps it).
+
+    A factorization is multiplied out only when its value is printed;
+    its digit count alone comes from PrimePowerFactorization.digit_count.
+    """
     factored = isinstance(result, PrimePowerFactorization)
-    value = result.expand() if factored else result
+    if args.digits_only:
+        text = None
+        digits = result.digit_count() if factored else decimal_digits(result)
+    else:
+        text = decimal_str(result.expand() if factored else result)
+        digits = len(text)
     if args.format == "plain":
-        print(decimal_digits(value) if args.digits_only else decimal_str(value))
+        print(digits if text is None else text)
         return 0
     doc = {"n": args.n, **extra}
     if factored:
         doc["factorization"] = result.to_pairs()
-    doc["digits"] = decimal_digits(value)
-    if not args.digits_only:
-        doc["value"] = decimal_str(value)
+    doc["digits"] = digits
+    if text is not None:
+        doc["value"] = text
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:

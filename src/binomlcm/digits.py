@@ -5,9 +5,20 @@ Everything here is pure: nothing reads or changes process-wide state
 such as CPython's int -> str digit limit, and the Decimal route sets
 its precision in a local copy of the thread's decimal context.
 
-* decimal_digits() counts digits exactly without rendering anything: a
-  lower bound from the bit length, then one or two comparisons with a
-  power of ten.
+* Digit counts render nothing, and build the power of ten they compare
+  against only in an exact fallback. A value is held in an integer bracket
+  lo * 2**k <= x <= hi * 2**k, with lo cut to _BRACKET_BITS bits (lo
+  rounded down, hi up), and so is 10**d = 5**d * 2**d. Starting from a
+  lower bound on the count taken from the bit length, exact integer
+  comparisons of the two brackets step d up until x < 10**d is certain.
+  decimal_digits() brackets an int by its top bits; bracket_product()
+  brackets a product of prime powers streamed pair by pair, so a
+  factorization is counted without being multiplied out. When the
+  brackets overlap, only possible when x lies within about 2**-110 of a
+  power of ten (10**j itself, say), bracket_digit_count() returns None
+  and the caller counts the exact integer instead.
+* advance_digit_count() carries an exact (d, 10**d) pair along a
+  growing value, for a running count such as bounds.psi_table's.
 * decimal_str() renders with plain str() below _STR_MAX_BITS, where
   every allowed digit limit admits the value. Above it, a divide-and-
   conquer conversion to decimal.Decimal lets libmpdec do the large
@@ -17,6 +28,8 @@ its precision in a local copy of the thread's decimal context.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 # A lower bound on log10(2) = 0.30102999566398119521373..., so a digit
 # estimate built from it never overshoots.
@@ -30,10 +43,81 @@ _STR_MAX_BITS = 2000
 # Chunks this small go to Decimal(int) directly.
 _CHUNK_BITS = 1024
 
+# Width of a bracket's lower end. Every cut loses under 2**(1-width) of
+# the value, so a product folded in F cuts is bracketed to a relative
+# width of about F * 2**-127: lcm(1..10**6) takes about 11,000 cuts.
+_BRACKET_BITS = 128
+
 
 def decimal_digits(x: int) -> int:
     """Exact decimal digit count of ``abs(x)``; 1 for 0."""
-    return advance_digit_count(abs(x) or 1, 1, 10)[0]
+    x = abs(x) or 1
+    cut = max(x.bit_length() - _BRACKET_BITS, 0)
+    top = x >> cut
+    digits = bracket_digit_count(top, top + 1 if cut else top, cut)
+    return advance_digit_count(x, 1, 10)[0] if digits is None else digits
+
+
+def _trim(lo: int, hi: int, k: int) -> tuple[int, int, int]:
+    # Cut lo to _BRACKET_BITS bits, rounding lo down and hi up, so that
+    # lo * 2**k <= x <= hi * 2**k still holds.
+    cut = lo.bit_length() - _BRACKET_BITS
+    if cut <= 0:
+        return lo, hi, k
+    return lo >> cut, -(-hi >> cut), k + cut
+
+
+def bracket_product(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """``(lo, hi, k)`` with ``lo * 2**k <= prod p**e <= hi * 2**k``, over (p, e) pairs.
+
+    The pairs are read once, as they come. Their exact product is
+    gathered in a small accumulator and folded into the bracket only
+    once it outgrows _BRACKET_BITS, so the bracket is cut once per
+    _BRACKET_BITS bits of product, not once per pair.
+    """
+    limit = 1 << _BRACKET_BITS
+    lo = hi = acc = 1
+    k = 0
+    for p, e in pairs:
+        acc *= p if e == 1 else p**e
+        if acc >= limit:
+            lo, hi, k = _trim(lo * acc, hi * acc, k)
+            acc = 1
+    return _trim(lo * acc, hi * acc, k)
+
+
+def _power_of_ten_bracket(d: int) -> tuple[int, int, int]:
+    # 10**d = 5**d * 2**d: 5**d by square-and-multiply, cut at each step.
+    lo = hi = 1
+    k = 0
+    for bit in bin(d)[2:]:
+        lo, hi, k = lo * lo, hi * hi, 2 * k
+        if bit == "1":
+            lo, hi = lo * 5, hi * 5
+        lo, hi, k = _trim(lo, hi, k)
+    return lo, hi, k + d
+
+
+def _at_most(a: int, s: int, b: int, t: int) -> bool:
+    # a * 2**s <= b * 2**t, exactly.
+    return a << (s - t) <= b if s >= t else a <= b << (t - s)
+
+
+def bracket_digit_count(lo: int, hi: int, k: int) -> int | None:
+    """Digit count of every x with ``lo * 2**k <= x <= hi * 2**k``, ``lo >= 1``.
+
+    None when the bracket holds values of two different digit counts,
+    or cannot be told apart from a power of ten that bounds them; the
+    caller then counts the exact value.
+    """
+    # x >= 2**(k + bits(lo) - 1), so this count never overshoots.
+    digits = (k + lo.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN + 1
+    ten_lo, ten_hi, ten_k = _power_of_ten_bracket(digits)
+    while _at_most(ten_hi, ten_k, lo, k):  # 10**digits <= x
+        digits += 1
+        ten_lo, ten_hi, ten_k = _trim(ten_lo * 10, ten_hi * 10, ten_k)
+    # x < 10**digits, unless the brackets overlap.
+    return None if _at_most(ten_lo, ten_k, hi, k) else digits
 
 
 def advance_digit_count(x: int, digits: int, power: int) -> tuple[int, int]:

@@ -40,6 +40,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
+from .digits import bracket_digit_count, bracket_product, decimal_digits
 from .errors import DomainError, InternalConsistencyError
 from .valuation import Prime, _max_borrows
 
@@ -141,6 +142,15 @@ class PrimePowerFactorization:
     def expand(self) -> int:
         """Multiply the factorization out to an exact integer."""
         return _product([p**e for p, e in self._factors.items()])
+
+    def digit_count(self) -> int:
+        """Decimal digits of expand(), exactly, from an integer bracket of the product.
+
+        The product is built only when the bracket cannot decide: when it
+        lies within about 2**-110 of a power of ten, such as 10**j itself.
+        """
+        digits = bracket_digit_count(*bracket_product(self._factors.items()))
+        return decimal_digits(self.expand()) if digits is None else digits
 
     def log_value(self) -> float:
         """ln(expand()) as sum e*ln(p), compensated (never builds the int)."""

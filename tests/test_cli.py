@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomlcm import BenchRecord, BoundsRecord, EquivalenceChainReport, IdentityReport, Task, Theorem, check_bounds
+from binomlcm import (
+    BenchRecord,
+    BoundsRecord,
+    EquivalenceChainReport,
+    IdentityReport,
+    PrimePowerFactorization,
+    Task,
+    Theorem,
+    check_bounds,
+)
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.bounds import BOUNDS_CSV_HEADER, psi_table
 from binomlcm.cli import _emit, run
@@ -92,6 +101,16 @@ class TestRowLcm:
         assert doc["method"] == "valuation"
         assert doc["factorization"] == [[2, 2], [3, 1], [5, 1]]
         assert doc["value"] == "60"
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_valuation_digits_only_never_expands(self, capsys, monkeypatch, fmt):
+        def refuse(self):
+            raise AssertionError("expand() called for a digit count")
+
+        monkeypatch.setattr(PrimePowerFactorization, "expand", refuse)
+        code, out, err = invoke(capsys, "row-lcm", "300000", "--method", "valuation", "--digits-only", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == ("130136\n" if fmt == "plain" else "n,method,digits\n300000,valuation,130136\n")
 
     @pytest.mark.parametrize("method", ["naive", "farhi", "valuation"])
     def test_negative_n_names_the_route(self, capsys, method):

@@ -4,6 +4,12 @@ str() is the oracle here, so the interpreter's int -> str digit limit is
 lifted for the oracle only, inside a fixture that puts it back. The
 library itself must never need that: it renders any value under any
 limit and leaves the limit as it found it.
+
+A factorization's digit count comes from an integer bracket of its
+product and is checked against decimal_digits of the expanded value and
+against str(); so is decimal_digits itself, whose bracket holds an
+int's top bits. A bracket narrowed to a few bits overlaps powers of ten
+often, which exercises the exact fallback.
 """
 
 import sys
@@ -12,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from binomlcm import digits
 from binomlcm.cli import run
-from binomlcm.digits import decimal_digits, decimal_str
+from binomlcm.digits import _power_of_ten_bracket, bracket_product, decimal_digits, decimal_str
+from binomlcm.engine import PrimePowerFactorization, _primes_upto, lcm_range, row_lcm_valuation
 from test_golden_values import DIGESTS
 from test_golden_verify import ERRORS, OUTPUTS, SHA256_ALL_300
 
@@ -99,3 +107,82 @@ def test_cli_leaves_the_digit_limit_alone(capsys, command):
     run(command.split())
     capsys.readouterr()
     assert sys.get_int_max_str_digits() == limit
+
+
+# --- digit counts from integer brackets --------------------------------------
+
+PRIMES = _primes_upto(2000)
+
+factorizations = st.dictionaries(st.sampled_from(PRIMES), st.integers(0, 300), max_size=40).map(
+    PrimePowerFactorization
+)
+
+
+def powers_of_ten_and_neighbours(j):
+    """10^j, 2*10^j, 10^j / 2 and 3*10^j as factorizations: the hardest cases to bracket."""
+    yield PrimePowerFactorization({2: j, 5: j})
+    yield PrimePowerFactorization({2: j + 1, 5: j})
+    if j:
+        yield PrimePowerFactorization({2: j - 1, 5: j})
+    yield PrimePowerFactorization({2: j, 3: 1, 5: j})
+
+
+def assert_counted_exactly(f):
+    x = f.expand()
+    assert f.digit_count() == decimal_digits(x) == len(str(x)), f
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(factorizations)
+def test_factored_count_matches_the_expanded_value(unlimited_str, f):
+    lo, hi, k = bracket_product(f.items())
+    assert lo * 2**k <= f.expand() <= hi * 2**k
+    assert lo.bit_length() <= digits._BRACKET_BITS
+    assert_counted_exactly(f)
+
+
+def test_power_of_ten_bracket_holds_the_power():
+    for d in [*range(0, 200), *range(200, 5000, 97), 130_135]:
+        lo, hi, k = _power_of_ten_bracket(d)
+        assert lo * 2**k <= 10**d <= hi * 2**k, d
+        assert lo.bit_length() <= digits._BRACKET_BITS, d
+
+
+def test_powers_of_ten_as_factorizations(unlimited_str):
+    for j in [*range(0, 300), *range(300, 3000, 41)]:
+        for f in powers_of_ten_and_neighbours(j):
+            assert_counted_exactly(f)
+
+
+def _near_prime_squares():
+    for p in [2, 3, 5, 7, 11, 31, 97, 251]:
+        yield from (p * p - 1, p * p, p * p + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, *_near_prime_squares()])
+def test_route_counts_match_the_expanded_value(unlimited_str, n):
+    assert_counted_exactly(row_lcm_valuation(n))
+    if n >= 1:
+        assert_counted_exactly(lcm_range(n))
+
+
+@pytest.mark.parametrize("width", [3, 6, 12])
+def test_narrow_brackets_fall_back_and_stay_exact(unlimited_str, monkeypatch, width):
+    # So narrow that brackets overlap powers of ten often: each such
+    # count must go to the exact route and still be right.
+    monkeypatch.setattr(digits, "_BRACKET_BITS", width)
+    factored_fallbacks = []
+    expand = PrimePowerFactorization.expand
+    monkeypatch.setattr(PrimePowerFactorization, "expand", lambda f: factored_fallbacks.append(f) or expand(f))
+    int_fallbacks = []
+    advance = digits.advance_digit_count
+    monkeypatch.setattr(digits, "advance_digit_count", lambda *a: int_fallbacks.append(a) or advance(*a))
+    cases = [f for j in range(0, 120, 7) for f in powers_of_ten_and_neighbours(j)]
+    cases += [row_lcm_valuation(n) for n in range(0, 400, 13)] + [lcm_range(n) for n in range(1, 400, 13)]
+    for f in cases:
+        x = expand(f)
+        assert f.digit_count() == len(str(x)), (width, f)
+        for v in (x - 1, x, x + 1):
+            assert decimal_digits(v) == len(str(abs(v) or 1)), (width, v)
+    assert 0 < len(factored_fallbacks) < len(cases)
+    assert int_fallbacks

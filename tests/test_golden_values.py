@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the command's stdout, captured before the
 rewrite it guards (the digit-count and psi_table rewrite, then the single
-record emitter and the row-lcm method table), so the new routes must
+record emitter and the row-lcm method table, then the digit count of a
+factorization that is never multiplied out), so the new routes must
 print byte for byte what the old ones did.
 """
 
@@ -30,6 +31,11 @@ DIGESTS = {
     "row-lcm 200 --method naive --format json": "276bda7ab26294832fd1be4ff600eb53157a3f4f909e27bf55983bbcdb2e6fc7",
     "row-lcm 200 --method naive --format csv": "381e8d7acc8f136c2016cc444eca5f04fe34d866a0b3fc87ac2a5479394dcb05",
     "lcm-range 50 --digits-only --format json": "010025fbf0d640ca950e0ea0bc8685967037bd89d005fd83369cacf596df9424",
+    "row-lcm 300000 --method valuation --digits-only": "10a5806825beaeadf509b721af853b203c0cfc283478cf6bcc190fb879261016",
+    "row-lcm 300000 --method farhi --digits-only": "10a5806825beaeadf509b721af853b203c0cfc283478cf6bcc190fb879261016",
+    "row-lcm 3000 --method valuation --digits-only --format json": "e52edb1a3eb4cf4215a42a0018f02ff226cdb8845f76bab609c285c83aaf2892",
+    "row-lcm 3000 --method valuation --digits-only --format csv": "08792a1ee6434ef4fdd5b91b5341e0b8e92395011737589aeaa17fb669afc1b5",
+    "lcm-range 300000 --digits-only --format csv": "4b30e35eeaecc775c1d3d98f78f921f49b898c0ba69e3263380cab9dc9565dfb",
 }
 
 
