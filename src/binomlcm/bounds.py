@@ -19,12 +19,11 @@ and is reporting data only, never a pass/fail criterion.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import advance_digit_count, decimal_digits
-from .engine import lcm_range, prime_power_bases
+from .engine import _range_exponent, lcm_range, prime_power_bases
 from .errors import DomainError
 
 # Not used here: perfbench/layer_trace.py still times the prime-power table under this old name.
@@ -154,7 +153,7 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     empty verify range is.
 
     One pass holds the running lcm: lcm(1..n) gains exactly one factor
-    p whenever n is a prime power p^a, so each step is a lookup in
+    p whenever n is a prime power p^e, so each step is a lookup in
     engine.prime_power_bases plus at most one small multiplication, and the
     factors gained between two samples reach the running lcm in one
     multiplication. Everything else a record needs is kept the same way,
@@ -164,7 +163,9 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     * psi, the sum of the float terms e*ln(p), held exactly as an integer
       in units of 2**-1074 (every finite double is a whole number of
       them); one correctly rounded division gives the same float as
-      math.fsum over all the terms.
+      math.fsum over all the terms. At n = p^e the term of p changes
+      from (e-1)*ln(p) to e*ln(p), with e read off n itself by
+      engine._range_exponent, so no state is kept per prime.
     """
     if step < 1:
         raise DomainError(f"psi_table requires step >= 1, got {step}")
@@ -175,8 +176,6 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     check_cap(max_n, caps.sieve_limit, "psi table max_n")
 
     bases = prime_power_bases(max_n)
-    exps: defaultdict[int, int] = defaultdict(int)  # p -> e, the exponent of p in lcm(1..n)
-    terms: dict[int, int] = {}  # p -> e*ln(p) in units of 2**-1074
     psi_units = 0
     running = 1
     gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
@@ -185,12 +184,11 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     records = []
     for n in range(1, max_n + 1):
         p = bases[n]
-        if p > 1:  # n is a power of p
+        if p > 1:  # n = p^e
             gained *= p
-            exps[p] += 1
-            term = _units(exps[p] * math.log(p))
-            psi_units += term - terms.get(p, 0)
-            terms[p] = term
+            e = _range_exponent(p, n)
+            log_p = math.log(p)
+            psi_units += _units(e * log_p) - _units((e - 1) * log_p)
         if n % step == 0:
             if gained > 1:
                 running *= gained

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-# A lower bound on log10(2) = 0.30102999566398119521373..., so a digit
-# estimate built from it never overshoots.
+# A lower bound on log10(2) = 0.30102999566398119521373...
 _LOG10_2_NUM = 30102999566398119521
 _LOG10_2_DEN = 10**20
 
@@ -98,6 +97,12 @@ def _power_of_ten_bracket(d: int) -> tuple[int, int, int]:
     return lo, hi, k + d
 
 
+def _digits_at_least(bits: int) -> int:
+    # A value of this many bits is >= 2**(bits-1), and _LOG10_2_NUM / _LOG10_2_DEN
+    # is below log10(2), so this count never overshoots.
+    return (bits - 1) * _LOG10_2_NUM // _LOG10_2_DEN + 1
+
+
 def _at_most(a: int, s: int, b: int, t: int) -> bool:
     # a * 2**s <= b * 2**t, exactly.
     return a << (s - t) <= b if s >= t else a <= b << (t - s)
@@ -110,8 +115,7 @@ def bracket_digit_count(lo: int, hi: int, k: int) -> int | None:
     or cannot be told apart from a power of ten that bounds them; the
     caller then counts the exact value.
     """
-    # x >= 2**(k + bits(lo) - 1), so this count never overshoots.
-    digits = (k + lo.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN + 1
+    digits = _digits_at_least(k + lo.bit_length())  # x has at least k + bits(lo) bits
     ten_lo, ten_hi, ten_k = _power_of_ten_bracket(digits)
     while _at_most(ten_hi, ten_k, lo, k):  # 10**digits <= x
         digits += 1
@@ -126,9 +130,8 @@ def advance_digit_count(x: int, digits: int, power: int) -> tuple[int, int]:
     Starts from any known ``digits <= d`` with ``power == 10**digits``, so
     a caller whose value only grows can carry the pair along.
     """
-    # 2**(bits-1) <= x, so this count never overshoots; the comparisons
-    # then step it up once or, at worst, twice.
-    at_least = (x.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN + 1
+    # The comparisons step this up once or, at worst, twice.
+    at_least = _digits_at_least(x.bit_length())
     if at_least > digits:
         power *= 10 ** (at_least - digits)
         digits = at_least

@@ -35,7 +35,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
@@ -291,20 +291,24 @@ def iter_range_lcms(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterato
 
 
 def lcm_sequence(values: Iterable[int]) -> int:
-    """Fold lcm over a nonempty sequence of positive integers.
+    """Fold lcm over a nonempty sequence of positive integers, through _lcm_fold.
 
-    Order- and duplication-independent. Zeros are rejected: no sequence
-    this library produces contains one, so a zero is a caller bug and
-    failing fast beats silently absorbing everything into lcm 0.
+    Order- and duplication-independent; the values are read once, so a
+    one-shot iterator will do. Zeros are rejected: no sequence this
+    library produces contains one, so a zero is a caller bug and failing
+    fast beats silently absorbing everything into lcm 0.
     """
-    acc = None
-    for v in values:
-        if v < 1:
-            raise DomainError(f"lcm_sequence requires every element >= 1, got {v}")
-        acc = v if acc is None else math.lcm(acc, v)
-    if acc is None:
+    it = iter(values)
+    first = next(it, None)
+    if first is None:
         raise DomainError("lcm_sequence requires a nonempty sequence")
-    return acc
+    return _lcm_fold(map(_positive, chain((first,), it)))
+
+
+def _positive(v: int) -> int:
+    if v < 1:
+        raise DomainError(f"lcm_sequence requires every element >= 1, got {v}")
+    return v
 
 
 def iter_binomial_rows(n_max: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterator[BinomialRow]:
@@ -410,9 +414,9 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     primes = _primes_upto(n)
     split = bisect_right(primes, math.isqrt(n))
     items = [(p, e) for p in primes[:split] if (e := _max_borrows(n, p))]
-    # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. From the seed state
-    # (f0, f1) = (0, infeasible), the top digit d1 >= 1 gives (0, 0); the
-    # low digit d0 then gives f0 = 1 + f1 = 1 if d0 <= p - 2, else 0.
+    # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. Below the top digit d1
+    # the DP starts at (f0, f1) = (0, 0); the low digit d0 then gives
+    # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0.
     items += [(p, 1) for p in primes[split:] if n % p != p - 1]
     return PrimePowerFactorization._trusted(items)
 

@@ -147,9 +147,6 @@ def binomial_valuation(n: int, k: int, p) -> int:
     return by_carries
 
 
-_NEG = -1  # infeasible marker; real borrow counts are >= 0
-
-
 def max_binomial_valuation(n: int, p) -> int:
     """max over 0 <= k <= n of v_p(C(n,k)).
 
@@ -172,26 +169,16 @@ def max_binomial_valuation(n: int, p) -> int:
 
 def _max_borrows(n: int, p: int) -> int:
     # The DP of max_binomial_valuation for a trusted prime p and n >= 0.
-    if n == 0:
-        return 0
-    digits = []
-    m = n
-    while m:
-        digits.append(m % p)
-        m //= p
+    low = []  # the base-p digits of n below the top one, least significant first
+    while n >= p:
+        n, d = divmod(n, p)
+        low.append(d)
     # f0/f1: best borrow count from the current position up through the
     # top digit, given no-borrow/borrow pending into the position below.
-    # Seed: past the top digit a pending borrow is impossible (k <= n).
-    f0, f1 = 0, _NEG
-    for d in reversed(digits):
-        g0 = f0
-        if d <= p - 2 and f1 != _NEG:
-            g0 = max(g0, 1 + f1)
-        if d >= 1:
-            g1 = f0
-            if f1 != _NEG:
-                g1 = max(g1, 1 + f1)
-        else:
-            g1 = 1 + f1 if f1 != _NEG else _NEG
-        f0, f1 = g0, g1
+    # The top digit is >= 1 and no borrow can come from above it, so
+    # both start at 0 below it (n = 0 has no digits, and its answer 0).
+    f0 = f1 = 0
+    for d in reversed(low):
+        both = max(f0, 1 + f1)
+        f0, f1 = (both if d <= p - 2 else f0), (both if d >= 1 else 1 + f1)
     return f0

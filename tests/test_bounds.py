@@ -1,13 +1,14 @@
 """Bounds module: exact flags, the psi ratio, and CSV output."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from binomlcm import BoundsRecord, DomainError, check_bounds, lcm_range, psi_table
 from binomlcm.bounds import BOUNDS_CSV_HEADER
 from binomlcm.cli import run
-from helpers import brute_range_lcm
+from helpers import brute_range_lcm, trial_is_prime
 
 
 class TestCheckBounds:
@@ -93,6 +94,30 @@ class TestPsiTable:
         for rec in records:
             running = math.lcm(running, rec.n)
             assert rec.psi_over_n == pytest.approx(math.log(running) / rec.n if rec.n > 1 else 0.0, rel=1e-9, abs=1e-12)
+
+    def test_matches_check_bounds_around_higher_prime_powers(self):
+        # At n = p^e with e >= 2 the term of p moves from (e-1)*ln(p) to
+        # e*ln(p); the records there and on either side must be exact.
+        records = psi_table(20000, 1)
+        ns = set()
+        for p in filter(trial_is_prime, range(2, math.isqrt(20000) + 1)):
+            q = p * p
+            while q <= 20000:
+                ns.update((q - 1, q, q + 1))
+                q *= p
+        for n in sorted(ns):
+            assert records[n - 1] == check_bounds(n), n
+
+    def test_keeps_no_per_prime_state(self):
+        # One sample at 10**5: what stays is the prime-power table and the
+        # running lcm, not a table per prime (9592 of them below 10**5).
+        tracemalloc.start()
+        try:
+            psi_table(100_000, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_log_value_route_matches(self):
         f = lcm_range(777)

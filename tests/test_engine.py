@@ -221,6 +221,19 @@ class TestLcmSequence:
     def test_accepts_any_iterable(self):
         assert lcm_sequence(range(1, 11)) == 2520
 
+    def test_accepts_a_one_shot_generator(self):
+        assert lcm_sequence(k for k in range(1, 11)) == 2520
+        assert lcm_sequence(iter([7])) == 7
+
+    def test_names_the_first_value_below_one(self):
+        with pytest.raises(DomainError, match=r"got -1$"):
+            lcm_sequence([3, -1, 0])
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_plain_fold(self, xs):
+        assert lcm_sequence(xs) == fold_lcm(xs)
+
 
 class TestBinomialRow:
     def test_row_zero(self):

@@ -154,9 +154,11 @@ class TestBinomialValuation:
 class TestMaxBinomialValuation:
     def test_matches_enumeration_definition(self):
         # The digit DP must equal the max over the half row (which by
-        # symmetry is the max over the whole row).
-        for n in range(0, 121):
-            for p in sieve_primes(max(n, 2)):
+        # symmetry is the max over the whole row): every prime up to
+        # n = 120, and the small primes, with their long digit strings,
+        # up to n = 599.
+        for n in range(0, 600):
+            for p in sieve_primes(max(n, 2)) if n <= 120 else (2, 3, 5, 7):
                 brute = max(
                     (binomial_valuation(n, k, p) for k in range(0, n // 2 + 1)),
                     default=0,
