@@ -35,6 +35,13 @@ BOUNDS_CSV_HEADER = ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "p
 BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}"
 
 
+_LOWER_2N_FROM = 9  # the first n at which 2^n <= lcm(1..n) is required
+# A flag's text, indexed by the flag (False == 0, True == 1).
+_OK = ("FAIL", "ok")
+_INFO = ("(no)", "(ok)")
+_CSV = ("false", "true")
+
+
 class BoundsRecord(NamedTuple):
     n: int
     lcm_digits: int
@@ -47,7 +54,7 @@ class BoundsRecord(NamedTuple):
     def lower_2n_required(self) -> bool:
         # The 2^n bound starts at n = 9; below that the flag is
         # informational data, not an obligation.
-        return self.n >= 9
+        return self.n >= _LOWER_2N_FROM
 
     @property
     def enforced_ok(self) -> bool:
@@ -55,56 +62,34 @@ class BoundsRecord(NamedTuple):
         return (
             self.lower_2nm1_holds
             and self.upper_3n_holds
-            and (self.lower_2n_holds or not self.lower_2n_required)
+            and (self.lower_2n_holds or self.n < _LOWER_2N_FROM)
         )
 
-    @property
-    def ok(self) -> bool:
-        return self.enforced_ok
+    ok = enforced_ok
 
     def plain_line(self) -> str:
         """One row under BOUNDS_PLAIN_HEADER; an unrequired 2^n flag is in parentheses."""
-        lower_2n = _fmt_ok(self.lower_2n_holds)
-        if not self.lower_2n_required:
-            lower_2n = f"({'ok' if self.lower_2n_holds else 'no'})"
+        n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
         return (
-            f"{self.n:>10} {self.lcm_digits:>11} {_fmt_ok(self.lower_2nm1_holds):>8} {lower_2n:>6} "
-            f"{_fmt_ok(self.upper_3n_holds):>6} {format_psi(self.psi_over_n):>16}"
+            f"{n:>10} {lcm_digits:>11} {_OK[lower_2nm1]:>8} "
+            f"{(_OK if n >= _LOWER_2N_FROM else _INFO)[lower_2n]:>6} {_OK[upper_3n]:>6} {psi:>16.12g}"
         )
 
     def to_json_dict(self) -> dict:
+        n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
         return {
-            "n": self.n,
-            "lcm_digits": self.lcm_digits,
-            "holds_2nm1": self.lower_2nm1_holds,
-            "holds_2n": self.lower_2n_holds,
-            "holds_2n_required": self.lower_2n_required,
-            "holds_3n": self.upper_3n_holds,
-            "psi_over_n": self.psi_over_n,
+            "n": n,
+            "lcm_digits": lcm_digits,
+            "holds_2nm1": lower_2nm1,
+            "holds_2n": lower_2n,
+            "holds_2n_required": n >= _LOWER_2N_FROM,
+            "holds_3n": upper_3n,
+            "psi_over_n": psi,
         }
 
     def to_csv_row(self) -> list[str]:
-        return [
-            str(self.n),
-            str(self.lcm_digits),
-            _fmt_bool(self.lower_2nm1_holds),
-            _fmt_bool(self.lower_2n_holds),
-            _fmt_bool(self.upper_3n_holds),
-            format_psi(self.psi_over_n),
-        ]
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _fmt_ok(b: bool) -> str:
-    return "ok" if b else "FAIL"
-
-
-def format_psi(x: float) -> str:
-    """12 significant digits."""
-    return f"{x:.12g}"
+        n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
+        return [str(n), str(lcm_digits), _CSV[lower_2nm1], _CSV[lower_2n], _CSV[upper_3n], f"{psi:.12g}"]
 
 
 # A lower bound on log2(3) = 1.58496250072115618145..., so 2^(n*num//den) <= 3^n.
@@ -112,18 +97,17 @@ _LOG2_3_NUM = 15849625007211561814
 _LOG2_3_DEN = 10**19
 
 
-def _record(n: int, lcm_value: int, lcm_digits: int, psi: float) -> BoundsRecord:
-    # 2^k <= x exactly when x has more than k bits. With 2^k <= 3^n, a
-    # value of at most k bits is below 3^n; only a longer one is compared
-    # with 3^n itself.
-    bits = lcm_value.bit_length()
+def _record(n: int, lcm_value: int, bits: int, lcm_digits: int, psi: float) -> BoundsRecord:
+    # 2^k <= x exactly when x has more than k bits (bits = x.bit_length()).
+    # With 2^k <= 3^n, a value of at most k bits is below 3^n; only a
+    # longer one is compared with 3^n itself.
     return BoundsRecord(
-        n=n,
-        lcm_digits=lcm_digits,
-        lower_2nm1_holds=bits >= n,
-        lower_2n_holds=bits > n,
-        upper_3n_holds=bits <= n * _LOG2_3_NUM // _LOG2_3_DEN or lcm_value <= 3**n,
-        psi_over_n=psi / n,
+        n,
+        lcm_digits,
+        bits >= n,
+        bits > n,
+        bits <= n * _LOG2_3_NUM // _LOG2_3_DEN or lcm_value <= 3**n,
+        psi / n,
     )
 
 
@@ -133,7 +117,7 @@ def check_bounds(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BoundsRecord:
         raise DomainError(f"check_bounds requires n >= 1, got {n}")
     factorization = lcm_range(n, caps=caps)
     value = factorization.expand()
-    return _record(n, value, decimal_digits(value), factorization.log_value())
+    return _record(n, value, value.bit_length(), decimal_digits(value), factorization.log_value())
 
 
 # Every finite double is an integer multiple of 2**-1074.
@@ -159,13 +143,19 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     multiplication. Everything else a record needs is kept the same way,
     so a sample costs constant work beyond that multiplication:
 
-    * the digit count, against a running next power of ten;
+    * the bit length and the digit count, the latter against a running
+      next power of ten;
     * psi, the sum of the float terms e*ln(p), held exactly as an integer
       in units of 2**-1074 (every finite double is a whole number of
       them); one correctly rounded division gives the same float as
       math.fsum over all the terms. At n = p^e the term of p changes
       from (e-1)*ln(p) to e*ln(p), with e read off n itself by
       engine._range_exponent, so no state is kept per prime.
+
+    The running lcm, and with it psi, changes only at a prime power, so
+    the bit length, the digit count and the 1100-bit division into psi
+    are redone only at a sample that some prime power has reached since
+    the last one; every other sample reuses them.
     """
     if step < 1:
         raise DomainError(f"psi_table requires step >= 1, got {step}")
@@ -179,8 +169,10 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     psi_units = 0
     running = 1
     gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
+    bits = 1  # running.bit_length()
     digits = 1
     next_ten = 10  # 10**digits, the smallest power of ten above running
+    psi = 0.0  # psi_units as a float
     records = []
     for n in range(1, max_n + 1):
         p = bases[n]
@@ -193,6 +185,8 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
             if gained > 1:
                 running *= gained
                 gained = 1
+                bits = running.bit_length()
                 digits, next_ten = advance_digit_count(running, digits, next_ten)
-            records.append(_record(n, running, digits, psi_units / _UNITS_PER_ONE))
+                psi = psi_units / _UNITS_PER_ONE
+            records.append(_record(n, running, bits, digits, psi))
     return records

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from itertools import islice
 
 from .bench import BENCH_CSV_HEADER, ROW_ROUTES, bench_range_methods, bench_row_methods
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
@@ -107,14 +109,20 @@ def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
     return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 
-# Encodes a nonempty flat dict (every record's to_json_dict()) with its
-# members laid out as json.dumps([...], indent=2) lays them out; without
-# indent the json module uses its C encoder.
+# Encodes a list of nonempty flat dicts (every record's to_json_dict())
+# with each member laid out as json.dumps([...], indent=2) lays it out;
+# without indent the json module uses its C encoder. Between two records
+# it puts _JSON_GLUE, which _JSON_BREAK turns into indent=2's layout.
 _JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": "))
+# This text stands only between two records: a raw newline never occurs
+# inside an encoded string, and in a flat dict no member ends in "}" or
+# begins with "{" (each begins with a quoted key and ends in a scalar).
+_JSON_GLUE = "},\n    {"
+_JSON_BREAK = "\n  },\n  {\n    "
 # Records per stdout write. Every write to the text layer has a fixed
 # cost, and with unbuffered stdout (python -u, PYTHONUNBUFFERED) it is
 # also a system call; one write per record measurably slows a large report.
-_JSON_BATCH = 64
+_BATCH = 64
 
 
 def _emit(args, records, csv_header, plain_header=None) -> int:
@@ -122,35 +130,46 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
 
     A record (identity, chain, bounds or bench) has plain_line(),
     to_csv_row(), to_json_dict() and ok. Records are written as they
-    come, in one pass, so records may be any iterable. JSON is one
-    document, byte for byte the output of print(json.dumps(list, indent=2)),
-    written _JSON_BATCH records at a time and never held whole.
+    come, in one pass, so records may be any iterable. They are taken
+    _BATCH at a time, every record's ok is read, and each batch goes out
+    as one string in one write, the header or the opening bracket in the
+    first. The bytes are those of print(r.plain_line()) per record, of a
+    csv.writer's writerow per row, or of print(json.dumps(list, indent=2)):
+    JSON is one document, never held whole.
     """
-    ok = True
-    if args.format == "json":
-        opening = "[\n  {\n    "
-        batch = []
-        for r in records:
-            batch.append(opening + _JSON_RECORD.encode(r.to_json_dict())[1:-1] + "\n  }")
-            ok &= r.ok
-            opening = ",\n  {\n    "
-            if len(batch) == _JSON_BATCH:
-                sys.stdout.write("".join(batch))
-                batch.clear()
-        batch.append("\n]\n" if opening[0] == "," else "[]\n")
-        sys.stdout.write("".join(batch))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        for r in records:
-            writer.writerow(r.to_csv_row())
-            ok &= r.ok
+    fmt = args.format
+    if fmt == "json":
+        first, later, closing, empty = "[\n  {\n    ", ",\n  {\n    ", "\n]\n", "[]\n"
     else:
-        if plain_header is not None:
-            print(plain_header)
-        for r in records:
-            print(r.plain_line())
+        first = later = closing = ""
+        if fmt == "csv":
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(csv_header)  # stays in the buffer for the first batch
+            empty = buffer.getvalue()
+        else:
+            first = empty = "" if plain_header is None else plain_header + "\n"
+    ok = True
+    lead, wrote = first, False
+    records = iter(records)
+    while batch := list(islice(records, _BATCH)):
+        for r in batch:
             ok &= r.ok
+        if fmt == "json":
+            encoded = _JSON_RECORD.encode([r.to_json_dict() for r in batch])
+            text = encoded[2:-2].replace(_JSON_GLUE, _JSON_BREAK) + "\n  }"
+        elif fmt == "csv":
+            writer.writerows([r.to_csv_row() for r in batch])
+            text = buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+        else:
+            text = "".join([r.plain_line() + "\n" for r in batch])
+        sys.stdout.write(lead + text)
+        lead, wrote = later, True
+    tail = closing if wrote else empty
+    if tail:
+        sys.stdout.write(tail)
     return 0 if ok else 1
 
 

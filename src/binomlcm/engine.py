@@ -4,7 +4,7 @@ Three routes compute the lcm of a binomial row C(n,0..n), with costs
 that scale very differently:
 
 * naive      -- materialize the row (Pascal additions), fold lcm over
-                it (math.lcm only where an entry does not already
+                it (a gcd only where an entry does not already
                 divide the running lcm); the oracle everything else is
                 checked against, feasible to a few thousand.
 * farhi      -- expand(lcm_range(n+1)) / (n+1), exact division; one
@@ -341,13 +341,15 @@ def _lcm_fold(values: Iterable[int]) -> int:
     """lcm of positive integers (1 for none), divisibility first.
 
     Most entries of a row already divide the running lcm, and a
-    remainder costs far less than the gcd inside math.lcm, so math.lcm
-    runs only for a value that brings a new factor.
+    remainder costs far less than a gcd, so a gcd runs only for a value
+    that brings a new factor. It reuses the remainder r = acc mod v:
+    gcd(acc, v) = gcd(v, r), whose operands are no larger than v, and
+    the new lcm is acc * (v / gcd(v, r)).
     """
     acc = 1
     for v in values:
-        if acc % v:
-            acc = math.lcm(acc, v)
+        if r := acc % v:
+            acc *= v // math.gcd(v, r)
     return acc
 
 

@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,7 @@ from binomlcm import (
     check_bounds,
 )
 from binomlcm.bench import BENCH_CSV_HEADER
-from binomlcm.bounds import BOUNDS_CSV_HEADER, psi_table
+from binomlcm.bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from binomlcm.cli import _emit, run
 from binomlcm.identities import IDENTITY_CSV_HEADER
 from helpers import brute_range_lcm
@@ -328,22 +332,35 @@ class TestUsageAndCaps:
         assert out == "" and err != ""
 
     def test_pipe_safe_when_downstream_closes_early(self):
-        # | head must not produce a BrokenPipeError traceback.
-        import subprocess
-        import sys as _sys
-
-        script = (
-            "from binomlcm.cli import run; "
-            "run(['bounds', '--to', '3000', '--format', 'csv'])"
-        )
-        proc = subprocess.run(
-            f"{_sys.executable} -c \"{script}\" | head -2",
-            shell=True,
-            capture_output=True,
-            text=True,
-        )
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout.splitlines()[0].startswith("n,lcm_digits")
+        # | head -2 must get the first two lines, with no BrokenPipeError
+        # traceback and exit 0, in every format and with stdout unbuffered
+        # too (each write is then a system call); 3000 records are many
+        # batches.
+        root = Path(__file__).resolve().parents[1]
+        for fmt in ("plain", "csv", "json"):
+            argv = ["bounds", "--to", "3000", "--format", fmt]
+            whole = io.StringIO()
+            with contextlib.redirect_stdout(whole):
+                assert run(argv) == 0
+            expected = whole.getvalue().splitlines(keepends=True)[:2]
+            for unbuffered in (False, True):
+                env = {**os.environ, "PYTHONPATH": str(root / "src")}
+                env.pop("PYTHONUNBUFFERED", None)
+                if unbuffered:
+                    env["PYTHONUNBUFFERED"] = "1"
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "binomlcm.cli", *argv],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                )
+                head = subprocess.run(["head", "-2"], stdin=child.stdout, capture_output=True, text=True)
+                child.stdout.close()
+                err = child.stderr.read().decode()
+                child.stderr.close()
+                assert child.wait(timeout=60) == 0, (fmt, unbuffered, err)
+                assert "Traceback" not in err, (fmt, unbuffered)
+                assert head.stdout.splitlines(keepends=True) == expected, (fmt, unbuffered)
 
 
 # (record, its CSV header, the flag ok stands for, expected ok); one failing
@@ -395,7 +412,12 @@ def _emit_json(records) -> str:
     return out.getvalue()
 
 
-_JSON_TEXT = st.text() | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a'))
+_JSON_TEXT = (
+    st.text()
+    | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a{},: '))
+    # The text _emit rewrites between two records, and pieces of it.
+    | st.sampled_from(["},\n    {", "},", "{", "}", "\n  },\n  {\n    "])
+)
 _JSON_SCALARS = st.one_of(
     _JSON_TEXT,
     st.integers(),
@@ -413,6 +435,19 @@ class TestJsonWriter:
     @given(st.lists(st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=6), max_size=5))
     @settings(deadline=None, max_examples=300)
     def test_matches_json_dumps_indent_2(self, docs):
+        assert _emit_json([_Doc(d) for d in docs]) == json.dumps(docs, indent=2) + "\n"
+
+    # Long enough to cross a write batch (64 records), where the encoded
+    # batch is split into records.
+    @given(
+        st.lists(
+            st.dictionaries(_JSON_TEXT, _JSON_TEXT | st.integers(), min_size=1, max_size=2),
+            min_size=60,
+            max_size=130,
+        )
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_matches_json_dumps_indent_2_across_batches(self, docs):
         assert _emit_json([_Doc(d) for d in docs]) == json.dumps(docs, indent=2) + "\n"
 
     @pytest.mark.parametrize("count", [63, 64, 65, 129])
@@ -434,3 +469,59 @@ class TestJsonWriter:
             assert len(json.loads(out)) == 2
         else:
             assert len(out.splitlines()) == (3 if fmt == "csv" else 2)  # csv adds its header
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that keeps every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _per_record(fmt, records, csv_header, plain_header) -> str:
+    """What a print or writerow per record prints."""
+    if fmt == "json":
+        return json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(csv_header)
+        for r in records:
+            writer.writerow(r.to_csv_row())
+        return out.getvalue()
+    lines = [] if plain_header is None else [plain_header]
+    return "".join(line + "\n" for line in lines + [r.plain_line() for r in records])
+
+
+class TestBatchedWrites:
+    """_emit writes 64 records per write, and the bytes of one write per record."""
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize(
+        "fmt, plain_header", [("plain", BOUNDS_PLAIN_HEADER), ("plain", None), ("csv", None), ("json", None)]
+    )
+    def test_one_write_per_batch_and_the_same_bytes(self, monkeypatch, count, fmt, plain_header):
+        records = psi_table(count) if count else []
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert _emit(argparse.Namespace(format=fmt), iter(records), BOUNDS_CSV_HEADER, plain_header) == 0
+        monkeypatch.undo()
+        assert stdout.getvalue() == _per_record(fmt, records, BOUNDS_CSV_HEADER, plain_header)
+        assert len(stdout.writes) <= math.ceil(count / 64) + 1
+        assert "" not in stdout.writes
+        if fmt == "plain" and plain_header is None and not count:
+            assert stdout.writes == []
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("position", [0, 30, 63, 64, 99])
+    def test_one_failing_record_anywhere_fails_the_run(self, capsys, fmt, position):
+        # 30: inside the first batch; 64: the first record of the second.
+        records = psi_table(100)
+        records[position] = records[position]._replace(upper_3n_holds=False)
+        assert _emit(argparse.Namespace(format=fmt), records, BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER) == 1
+        assert capsys.readouterr().out == _per_record(fmt, records, BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER)

@@ -69,9 +69,12 @@ def test_check_bounds_equals_the_table_record(n):
 def test_flags_at_the_exact_powers(n):
     # Right at and just past each power, where a bit-length estimate
     # alone could not decide the 3^n flag.
-    assert _record(n, 2 ** (n - 1), 1, 0.0).lower_2nm1_holds
-    assert not _record(n, 2 ** (n - 1) - 1, 1, 0.0).lower_2nm1_holds
-    assert _record(n, 2**n, 1, 0.0).lower_2n_holds
-    assert not _record(n, 2**n - 1, 1, 0.0).lower_2n_holds
-    assert _record(n, 3**n, 1, 0.0).upper_3n_holds
-    assert not _record(n, 3**n + 1, 1, 0.0).upper_3n_holds
+    def record(value):
+        return _record(n, value, value.bit_length(), 1, 0.0)
+
+    assert record(2 ** (n - 1)).lower_2nm1_holds
+    assert not record(2 ** (n - 1) - 1).lower_2nm1_holds
+    assert record(2**n).lower_2n_holds
+    assert not record(2**n - 1).lower_2n_holds
+    assert record(3**n).upper_3n_holds
+    assert not record(3**n + 1).upper_3n_holds
