@@ -8,7 +8,6 @@ the classical growth bounds on lcm(1..n). Everything numeric is exact
 big-integer arithmetic.
 """
 
-from .bench import BenchRecord, Task, bench_range_methods, bench_row_methods
 from .bounds import BoundsRecord, check_bounds, psi_table
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_digits, decimal_str
@@ -49,6 +48,19 @@ from .valuation import (
 )
 
 __version__ = "0.1.0"
+
+# Served from .bench on first use (PEP 562): only `binomlcm bench` needs the
+# timing harness, so importing the package, or the CLI, does not load it.
+_BENCH_NAMES = {"BenchRecord", "Task", "bench_range_methods", "bench_row_methods"}
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BenchRecord",

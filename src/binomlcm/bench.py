@@ -24,14 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import decimal_digits
-from .engine import (
-    PrimePowerFactorization,
-    lcm_range,
-    lcm_sequence,
-    row_lcm_farhi,
-    row_lcm_naive,
-    row_lcm_valuation,
-)
+from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 
 __all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods", "BENCH_CSV_HEADER"]
@@ -94,15 +87,8 @@ def _fold_range(n: int, caps: ResourceCaps) -> int:
     return lcm_sequence(range(1, n + 1))
 
 
-# name -> route(n, caps). Each route checks its own caps and raises
-# ResourceCapError before any work. The routes look the engine up in
-# this module's globals, so one rebound here later (by a tracer, say)
-# is the one called.
-ROW_ROUTES = {
-    "naive": lambda n, caps: row_lcm_naive(n, caps=caps),
-    "farhi": lambda n, caps: row_lcm_farhi(n, caps=caps),
-    "valuation": lambda n, caps: row_lcm_valuation(n, caps=caps),
-}
+# name -> route(n, caps), each checking its own caps as engine.ROW_ROUTES
+# does. The row routes are engine's own table, re-exported here.
 RANGE_ROUTES = {
     "fold": _fold_range,
     "factorization": lambda n, caps: lcm_range(n, caps=caps),

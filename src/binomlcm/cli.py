@@ -32,11 +32,10 @@ import os
 import sys
 from itertools import islice
 
-from .bench import BENCH_CSV_HEADER, ROW_ROUTES, bench_range_methods, bench_row_methods
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from .caps import CAP_FIELDS, ResourceCaps
 from .digits import decimal_digits, decimal_str
-from .engine import PrimePowerFactorization, lcm_range
+from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
 
@@ -47,53 +46,79 @@ _THEOREM_BY_FLAG = {
 }
 
 
-def _cap_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+def _add_common(p: argparse.ArgumentParser) -> None:
+    # The options every subcommand takes, in the order its usage lists them.
     g = p.add_argument_group("resource caps")
     for field in CAP_FIELDS:
         # BINOMLCM_MAX_<CAP> -> --max-<cap>
         flag = "--" + field.env.removeprefix("BINOMLCM_").lower().replace("_", "-")
         g.add_argument(flag, dest=field.name, type=int, metavar="N", help=f"{field.help} (env {field.env})")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain", help="output format (default plain)")
-    return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="binomlcm",
-        description="Exact lcm computation and identity verification for binomial rows.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    cap_parent = _cap_parent()
-
-    p = sub.add_parser("lcm-range", parents=[cap_parent], help="exact lcm(1..N)")
+def _lcm_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--digits-only", action="store_true", help="print the digit count instead of the value")
     p.set_defaults(handler=_cmd_lcm_range)
 
-    p = sub.add_parser("row-lcm", parents=[cap_parent], help="lcm of the binomial row C(N,0..N)")
+
+def _row_lcm_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--method", choices=ROW_ROUTES, default="farhi")
     p.add_argument("--digits-only", action="store_true", help="print the digit count instead of the value")
     p.set_defaults(handler=_cmd_row_lcm)
 
-    p = sub.add_parser("verify", parents=[cap_parent], help="verify identities over a range of n")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", choices=[*_THEOREM_BY_FLAG, "all"], required=True)
     p.add_argument("--from", dest="first", type=int, required=True, metavar="A")
     p.add_argument("--to", dest="last", type=int, required=True, metavar="B")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("bounds", parents=[cap_parent], help="growth bounds and psi_over_n table")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--to", dest="max_n", type=int, required=True, metavar="N")
     p.add_argument("--step", type=int, default=1)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("bench", parents=[cap_parent], help="time the competing methods (verified first)")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("task", choices=["row", "range"])
     p.add_argument("--ns", type=_int_list, required=True, metavar="N1,N2,...")
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(handler=_cmd_bench)
 
+
+# name -> (help line, adds its own arguments), in the order --help lists them.
+_COMMANDS = {
+    "lcm-range": ("exact lcm(1..N)", _lcm_range_args),
+    "row-lcm": ("lcm of the binomial row C(N,0..N)", _row_lcm_args),
+    "verify": ("verify identities over a range of n", _verify_args),
+    "bounds": ("growth bounds and psi_over_n table", _bounds_args),
+    "bench": ("time the competing methods (verified first)", _bench_args),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand listed, only argv's given its arguments.
+
+    argparse reads the subcommand from the first positional token, and
+    the top level takes no option with a value, so the first token of
+    argv that names a subcommand is the one parsed (a token before it
+    would be an invalid choice). The others keep only their help line,
+    which is all that the top-level help and usage errors print.
+    """
+    parser = argparse.ArgumentParser(
+        prog="binomlcm",
+        description="Exact lcm computation and identity verification for binomial rows.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    chosen = next((token for token in argv if token in _COMMANDS), None)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == chosen:
+            _add_common(p)
+            add_args(p)
     return parser
 
 
@@ -222,13 +247,15 @@ def _cmd_bounds(args, caps) -> int:
 
 
 def _cmd_bench(args, caps) -> int:
+    from .bench import BENCH_CSV_HEADER, bench_range_methods, bench_row_methods
+
     runner = bench_row_methods if args.task == "row" else bench_range_methods
     return _emit(args, runner(args.ns, args.reps, caps=caps), BENCH_CSV_HEADER)
 
 
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

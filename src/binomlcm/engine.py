@@ -6,7 +6,10 @@ that scale very differently:
 * naive      -- materialize the row (Pascal additions), fold lcm over
                 it (a gcd only where an entry does not already
                 divide the running lcm); the oracle everything else is
-                checked against, feasible to a few thousand.
+                checked against, feasible to a few thousand. The fold
+                takes entries 0..floor(n/2) in row order, then only
+                those later entries that differ from their mirror
+                C(n,n-k) (on a Pascal row, none).
 * farhi      -- expand(lcm_range(n+1)) / (n+1), exact division; one
                 sieve plus one big division.
 * valuation  -- per prime p <= n, the largest carry count any entry can
@@ -36,7 +39,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import add, mul
+from operator import add, mul, ne
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -164,10 +167,13 @@ class PrimePowerFactorization:
 class BinomialRow:
     """Row n of Pascal's triangle: entries[k] == C(n,k), exactly.
 
-    Its two lcm folds are cached on the row, each folded at most once per
-    row object: the identity sweep reads row n at n and again as the
-    previous row at n+1. Equality, hash and repr read only n and entries,
-    which cannot be reassigned.
+    Its lcm folds and weighted terms are cached on the row, each built at
+    most once per row object: the identity sweep reads row n at n and
+    again as the previous row at n+1. The full fold continues from the
+    half-row fold (entries 0..floor(n/2)) and skips every later entry
+    equal to its mirror among those, so a Pascal row is folded once, in
+    row order, and each of its values once. Equality, hash and repr read
+    only n and entries, which cannot be reassigned.
     """
 
     def __init__(self, n: int, entries: tuple[int, ...]):
@@ -189,9 +195,19 @@ class BinomialRow:
         return f"BinomialRow(n={self.n!r}, entries={self.entries!r})"
 
     @cached_property
+    def half_lcm(self) -> int:
+        """lcm of C(n,0..floor(n/2)); equal to lcm by the row's symmetry."""
+        return _fold_half_row_lcm(self)
+
+    @cached_property
     def lcm(self) -> int:
         """lcm of C(n,0..n)."""
         return _fold_row_lcm(self)
+
+    @cached_property
+    def weighted_terms(self) -> tuple[int, ...]:
+        """k*C(n,k) for k = 1..n; empty for row 0."""
+        return tuple(map(mul, range(1, self.n + 1), self.entries[1:]))
 
     @cached_property
     def weighted_lcm(self) -> int:
@@ -337,8 +353,8 @@ def binomial_row(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BinomialRow:
     return deque(iter_binomial_rows(n, caps=caps), maxlen=1)[0]
 
 
-def _lcm_fold(values: Iterable[int]) -> int:
-    """lcm of positive integers (1 for none), divisibility first.
+def _lcm_fold(values: Iterable[int], acc: int = 1) -> int:
+    """lcm of acc and positive integers (acc alone for none), divisibility first.
 
     Most entries of a row already divide the running lcm, and a
     remainder costs far less than a gcd, so a gcd runs only for a value
@@ -346,23 +362,40 @@ def _lcm_fold(values: Iterable[int]) -> int:
     gcd(acc, v) = gcd(v, r), whose operands are no larger than v, and
     the new lcm is acc * (v / gcd(v, r)).
     """
-    acc = 1
     for v in values:
         if r := acc % v:
             acc *= v // math.gcd(v, r)
     return acc
 
 
+def _fold_rest(values: tuple[int, ...], mid: int, acc: int) -> int:
+    """lcm(acc, values[mid:]), where acc is already a multiple of values[:mid].
+
+    values[j] for j >= mid has its mirror values[len - 1 - j] among
+    values[:mid] (2 * mid >= len), and a value equal to its mirror
+    divides acc, so it is skipped by one comparison instead of a
+    remainder of acc. A Pascal row, and its weighted terms, mirror
+    themselves, so their rest costs no remainder at all; nothing here
+    relies on that, and any other value is folded.
+    """
+    rest = values[mid:]
+    return _lcm_fold(compress(rest, map(ne, rest, reversed(values[: len(values) - mid]))), acc)
+
+
 def _fold_row_lcm(row: BinomialRow) -> int:
-    return _lcm_fold(row.entries)
+    return _fold_rest(row.entries, row.n // 2 + 1, row.half_lcm)
 
 
 def _fold_weighted_lcm(row: BinomialRow) -> int:
-    return _lcm_fold(map(mul, range(1, row.n + 1), row.entries[1:]))
+    # k*C(n,k) = n*C(n-1,k-1) is symmetric under k <-> n+1-k, so the
+    # first ceil(n/2) terms carry the lcm of a Pascal row's terms.
+    terms = row.weighted_terms
+    mid = (row.n + 1) // 2
+    return _fold_rest(terms, mid, _lcm_fold(terms[:mid]))
 
 
 def _fold_half_row_lcm(row: BinomialRow) -> int:
-    # First floor(n/2)+1 entries; covers the whole row by symmetry.
+    # First floor(n/2)+1 entries; covers a Pascal row by symmetry.
     return _lcm_fold(row.entries[: row.n // 2 + 1])
 
 
@@ -428,3 +461,14 @@ def weighted_row_lcm(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     if n < 1:
         raise DomainError("weighted_row_lcm requires n >= 1")
     return binomial_row(n, caps=caps).weighted_lcm
+
+
+# name -> route(n, caps), for `row-lcm --method` and `bench row`. Each
+# route checks its own caps and raises ResourceCapError before any work.
+# The routes look the engine up in this module's globals when called, so
+# one rebound here later (by a tracer, say) is the one called.
+ROW_ROUTES = {
+    "naive": lambda n, caps: row_lcm_naive(n, caps=caps),
+    "farhi": lambda n, caps: row_lcm_farhi(n, caps=caps),
+    "valuation": lambda n, caps: row_lcm_valuation(n, caps=caps),
+}

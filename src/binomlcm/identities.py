@@ -16,9 +16,13 @@ Each identity is one registry entry fed by one shared Pascal row sweep;
 a single n is the range [n, n]. The sweep is one loop that hands every
 builder the same facts at n: rows n-1 and n, lcm(1..n) and lcm(1..n+1).
 Each row caches its own folds, so the fold of row n made at n is the
-very value read as the previous row's at n+1. T4 is the bridge that
-makes T1 and T3 equivalent: its left side is T1's left side and its
-right side is T3's left side, here the very same cached values.
+very value read as the previous row's at n+1. A row's full fold
+continues from its half-row fold, which T5 reads, and skips each value
+equal to its mirror image, already folded, so a row is folded once. Its
+weighted terms k*C(n,k) are built once, for T1's fold and TERMWISE's
+left side. T4 is the bridge that makes T1 and T3 equivalent: its left
+side is T1's left side and its right side is T3's left side, here the
+very same cached values.
 Everywhere else the two sides of a report go through maximally
 independent routes (e.g. no left side ever touches the prime-power
 factorization that produces the right side), so a single bug cannot
@@ -44,12 +48,11 @@ import math
 from enum import Enum
 from functools import cached_property
 from itertools import chain, pairwise, repeat
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_str
-from .engine import BinomialRow, _fold_half_row_lcm, iter_binomial_rows, iter_range_lcms, row_quotient
+from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotient
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
@@ -227,8 +230,9 @@ class EquivalenceChainReport(_ChainFields):
 class _Facts:
     """The quantities at n that several identities share.
 
-    The row folds are cached on the rows (BinomialRow.lcm, .weighted_lcm);
-    only n * lcm(row n-1) is cached here.
+    The row folds and weighted terms are cached on the rows
+    (BinomialRow.half_lcm, .lcm, .weighted_terms, .weighted_lcm); only
+    n * lcm(row n-1) is cached here.
     """
 
     def __init__(
@@ -251,9 +255,11 @@ class _Facts:
 
 
 def _theorem5_report(f: _Facts) -> IdentityReport:
-    half = _fold_half_row_lcm(f.prev)
+    half = f.prev.half_lcm
     # Sub-check: by symmetry the half row must already carry the full
     # row's lcm. A violation is a library bug, not a failed identity.
+    # The full fold skips only values equal to their mirror in the half
+    # row, which divide it, so any other value with a new factor shows here.
     if half != f.prev.lcm:
         raise InternalConsistencyError(f"half-row lcm {half} != full-row lcm {f.prev.lcm} for row {f.prev.n}")
     return IdentityReport.build(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
@@ -279,13 +285,14 @@ def _termwise_rhs(n: int) -> list[int]:
 
 
 def _termwise_report(f: _Facts) -> IdentityReport:
-    # Left side read off the Pascal-built row, right side from the
-    # multiplicative recurrence; all n terms compared pairwise. On failure
-    # the report carries the first mismatching pair instead of the (then
+    # Left side read off the Pascal-built row (the weighted terms it
+    # caches for T1's fold), right side from the multiplicative
+    # recurrence; all n terms compared pairwise. On failure the report
+    # carries the first mismatching pair instead of the (then
     # meaningless) totals.
     n = f.n
-    lhs = list(map(mul, range(1, n + 1), f.row.entries[1:]))
-    rhs = _termwise_rhs(n)
+    lhs = f.row.weighted_terms
+    rhs = tuple(_termwise_rhs(n))
     if lhs != rhs:
         t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])
         at = f"at first failing t={t}"

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from binomlcm import (
     Theorem,
     check_bounds,
 )
+from binomlcm import cli
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from binomlcm.cli import _emit, run
@@ -376,6 +378,54 @@ PROTOCOL_CASES = [
     (BenchRecord(Task.ROW_LCM, "naive", 4, 3, 10, 20, 2, True), BENCH_CSV_HEADER, "verified", True),
     (BenchRecord(Task.ROW_LCM, "naive", 4, 3, 10, 20, 2, False), BENCH_CSV_HEADER, "verified", False),
 ]
+
+
+# sha256 of (stdout, stderr) for help and usage errors, captured at an
+# 80-column width while _build_parser still built every subcommand in full.
+# argparse's help layout is not fixed across Python versions, so the digests
+# are checked on the version they were captured on; the tests after them
+# hold on any.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+HELP_DIGESTS_PY = (3, 11)
+HELP_DIGESTS = [
+    (["--help"], 0, "59ecef3e825feaa4ba1fd99ab89c52688451b87f15cd0948d88d43d06e5457ab", _EMPTY),
+    (["lcm-range", "--help"], 0, "9a53c9afc2c0c64ad403da1538df6c8315e50c004b72b974d270534d6c60b52e", _EMPTY),
+    (["row-lcm", "--help"], 0, "9b3f9f05a03f0ce9d609a341b4553518aea19277537d4499e6ed18e766f199d6", _EMPTY),
+    (["verify", "--help"], 0, "bcc5e9b006bc16affaca929e8ed1c1004b490305885ae6ac2d998ed1fc5cb833", _EMPTY),
+    (["bounds", "--help"], 0, "ce4a479ee87a0f455e7f302c01deab81f9a75a5710a446ec410e0682d2f88998", _EMPTY),
+    (["bench", "--help"], 0, "c7fe32c2ddfe8eec01cfa1581557d4f3ed8b2a9af574d393bb12bd35e463f2d0", _EMPTY),
+    ([], 2, _EMPTY, "4b9750ca8a770a5a717a88447ff476b89056421f5abd68cd5d561a2073beaa49"),
+    (["nosuch"], 2, _EMPTY, "4c1002662dc2653ec16026efbb437aae175f1260b474543cd6c8c51800fe6674"),
+]
+
+
+class TestHelpBytes:
+    """The parser builds only the chosen subcommand; what it prints must not change."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out_sha256, err_sha256", HELP_DIGESTS, ids=[" ".join(c[0]) or "(none)" for c in HELP_DIGESTS]
+    )
+    def test_help_and_usage_digests(self, capsys, monkeypatch, argv, code, out_sha256, err_sha256):
+        if sys.version_info[:2] != HELP_DIGESTS_PY:
+            pytest.skip(f"help digests were captured on Python {'.'.join(map(str, HELP_DIGESTS_PY))}")
+        monkeypatch.setenv("COLUMNS", "80")
+        got_code, out, err = invoke(capsys, *argv)
+        assert (got_code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()) == (
+            code,
+            out_sha256,
+            err_sha256,
+        )
+
+    def test_top_level_help_is_the_same_whichever_subcommand_is_built(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        helps = {cli._build_parser([name]).format_help() for name in [*cli._COMMANDS, "nosuch"]}
+        assert helps == {invoke(capsys, "--help")[1]}
+
+    @pytest.mark.parametrize("name", ["lcm-range", "row-lcm", "verify", "bounds", "bench"])
+    def test_a_later_subcommand_name_is_an_argument_not_the_command(self, capsys, name):
+        # Only the first name is the command; "bench" here is verify's bad --theorem.
+        code, out, err = invoke(capsys, "verify", "--theorem", name, "--from", "1", "--to", "2")
+        assert code == 2 and out == "" and f"argument --theorem: invalid choice: '{name}'" in err
 
 
 class TestRecordProtocol:

@@ -286,14 +286,15 @@ class TestBinomialRow:
 
             return wrapper
 
-        for name in ("_fold_row_lcm", "_fold_weighted_lcm"):
+        for name in ("_fold_row_lcm", "_fold_weighted_lcm", "_fold_half_row_lcm"):
             monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
         row = binomial_row(12)
         for _ in range(2):
-            assert (row.lcm, row.weighted_lcm) == (brute_row_lcm(12), brute_range_lcm(12))
-        assert calls == ["_fold_row_lcm", "_fold_weighted_lcm"]
+            assert (row.lcm, row.half_lcm, row.weighted_lcm) == (brute_row_lcm(12),) * 2 + (brute_range_lcm(12),)
+        # The full fold continues from the half fold, which it runs first.
+        assert calls == ["_fold_row_lcm", "_fold_half_row_lcm", "_fold_weighted_lcm"]
         # The cache is per object: a fresh row 12 folds again.
-        assert binomial_row(12).lcm == row.lcm and len(calls) == 3
+        assert binomial_row(12).lcm == row.lcm and len(calls) == 5
 
     def test_fold_reads_leave_equality_hash_and_repr_alone(self):
         row, twin = binomial_row(9), binomial_row(9)
@@ -419,6 +420,17 @@ class TestWeightedRowLcm:
             assert weighted_row_lcm(n) == brute_weighted_row_lcm(n)
 
 
+@st.composite
+def _any_entries(draw) -> tuple[int, ...]:
+    # Positive ints, equal to their mirror image at some drawn positions
+    # (a Pascal row is at every one) and often repeated elsewhere.
+    values = st.integers(min_value=1, max_value=60) | st.integers(min_value=1, max_value=2**200)
+    entries = draw(st.lists(values, min_size=1, max_size=40))
+    for j in draw(st.sets(st.integers(min_value=0, max_value=len(entries) - 1))):
+        entries[j] = entries[-1 - j]
+    return tuple(entries)
+
+
 class TestFolds:
     """The divisibility-first folds against plain math.lcm folds and the oracles."""
 
@@ -439,3 +451,18 @@ class TestFolds:
     @settings(deadline=None, max_examples=300)
     def test_matches_reduce_on_positive_ints(self, values):
         assert _lcm_fold(values) == reduce(math.lcm, values)
+
+    @given(_any_entries(), st.integers(min_value=1, max_value=2**100))
+    @settings(deadline=None, max_examples=300)
+    def test_cached_folds_of_any_entries_match_reduce(self, entries, acc):
+        # The folds skip a later value equal to its mirror image, so they
+        # must hold for entries that are not a Pascal row: asymmetric,
+        # repeated, or a single one.
+        row = BinomialRow(len(entries) - 1, entries)
+        n = row.n
+        weighted = tuple(k * entries[k] for k in range(1, n + 1))
+        assert row.lcm == reduce(math.lcm, entries)
+        assert row.half_lcm == reduce(math.lcm, entries[: n // 2 + 1])
+        assert row.weighted_terms == weighted
+        assert row.weighted_lcm == reduce(math.lcm, weighted, 1)
+        assert _lcm_fold(entries, acc) == math.lcm(acc, *entries)

@@ -403,6 +403,26 @@ class TestCarriedRangeLcm:
         assert report.lhs_method == f"t*C(n,t) at first failing t={t}"
         assert report.rhs_method == f"n*C(n-1,t-1) at first failing t={t}"
 
+    @pytest.mark.parametrize("m, k", [(1, 1), (4, 3), (7, 7), (9, 5), (12, 10)])
+    def test_theorem5_subcheck_catches_an_upper_half_entry(self, monkeypatch, m, k):
+        # Entry k of row m lies past floor(m/2), so only the full fold reads
+        # it; times 101, a prime no lower-half entry has, it cannot divide
+        # the half-row lcm, and T5 at n = m + 1 must refuse the row.
+        assert k > m // 2
+        real = identities.iter_binomial_rows
+
+        def corrupted(n_max, *, caps):
+            for row in real(n_max, caps=caps):
+                if row.n == m:
+                    row = BinomialRow(m, row.entries[:k] + (101 * row.entries[k],) + row.entries[k + 1 :])
+                yield row
+
+        monkeypatch.setattr(identities, "iter_binomial_rows", corrupted)
+        half = brute_row_lcm(m)
+        message = rf"^half-row lcm {half} != full-row lcm {101 * half} for row {m}$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            verify_range(Theorem.T5, 1, m + 3)
+
     def test_row_quotient_is_exact_division_checked(self):
         assert [row_quotient(brute_range_lcm(n + 1), n) for n in range(0, 30)] == [brute_row_lcm(n) for n in range(30)]
         with pytest.raises(InternalConsistencyError, match=r"lcm\(1..3\) is not divisible by 3"):
@@ -444,16 +464,18 @@ def test_sweep_sieves_once_and_rebuilds_no_range_lcm(monkeypatch):
 
 
 # (row, weighted, half) fold calls over verify_range(selection, 1, 200): each
-# row folds at most once, whether it is read as row n or as row n-1.
+# row folds at most once, whether it is read as row n or as row n-1. A
+# row's full fold continues from its half fold, so every row folded whole
+# is also folded by half, and T5 reads that same cached half.
 FOLD_CALLS = [
-    ("all", list(Theorem), (201, 200, 200)),
+    ("all", list(Theorem), (201, 200, 201)),
     ("T1", [Theorem.T1], (0, 200, 0)),
-    ("T2", [Theorem.T2], (200, 0, 0)),
-    ("T3", [Theorem.T3], (200, 0, 0)),
-    ("T2+T3", [Theorem.T2, Theorem.T3], (201, 0, 0)),
+    ("T2", [Theorem.T2], (200, 0, 200)),
+    ("T3", [Theorem.T3], (200, 0, 200)),
+    ("T2+T3", [Theorem.T2, Theorem.T3], (201, 0, 201)),
     ("T5", [Theorem.T5], (200, 0, 200)),
     ("TERMWISE", [Theorem.TERMWISE], (0, 0, 0)),
-    ("CHAIN", [Theorem.CHAIN], (200, 200, 0)),
+    ("CHAIN", [Theorem.CHAIN], (200, 200, 200)),
 ]
 
 
@@ -462,6 +484,8 @@ def test_each_row_folds_once_across_the_sweep(monkeypatch, selection, expected):
     folds = [_count_calls(monkeypatch, name) for name in ("_fold_row_lcm", "_fold_weighted_lcm", "_fold_half_row_lcm")]
     verify_range(selection, 1, 200)
     assert tuple(map(len, folds)) == expected
+    for calls in folds:
+        assert len({row.n for row, in calls}) == len(calls)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """What `import binomlcm.cli` loads, checked in a fresh interpreter.
 
 Every CLI process pays for this import, so it must not pull in
-dataclasses (which loads inspect, ast, dis and tokenize) or decimal
-(loaded on first use, by decimal_str of a value over 2000 bits). It
-must still load every module that perfbench/layer_trace.py wraps, since
-the tracer finds them in sys.modules.
+dataclasses (which loads inspect, ast, dis and tokenize), decimal
+(loaded on first use, by decimal_str of a value over 2000 bits) or
+binomlcm.bench (loaded by `binomlcm bench` and by the package's bench
+names, on first use). It must still load every module that
+perfbench/layer_trace.py wraps, since the tracer finds them in
+sys.modules.
 """
 
 import ast
@@ -14,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 _CHILD = """
@@ -22,10 +26,18 @@ import binomlcm.cli
 loaded = sorted(sys.modules)
 from binomlcm.digits import decimal_str
 x = 7**1000 * 3  # 2809 bits, 847 digits: decimal_str's Decimal route
+rendered = decimal_str(x) == str(x) and decimal_str(-x) == str(-x)
+import binomlcm
+bench_record = binomlcm.BenchRecord.__module__
+star = {}
+exec("from binomlcm import *", star)
 print(json.dumps({
     "loaded": loaded,
-    "rendered": decimal_str(x) == str(x) and decimal_str(-x) == str(-x),
+    "rendered": rendered,
     "decimal_after": "decimal" in sys.modules,
+    "bench_record": bench_record,
+    "star_missing": sorted(set(binomlcm.__all__) - set(star)),
+    "bench_after": "binomlcm.bench" in sys.modules,
 }))
 """
 
@@ -39,7 +51,8 @@ def _traced_modules() -> set[str]:
     return {row.elts[1].value for row in targets.elts}
 
 
-def test_cli_import_loads_the_traced_modules_but_not_dataclasses_or_decimal():
+@pytest.fixture(scope="module")
+def report() -> dict:
     out = subprocess.run(
         [sys.executable, "-c", _CHILD],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -47,10 +60,20 @@ def test_cli_import_loads_the_traced_modules_but_not_dataclasses_or_decimal():
         text=True,
         check=True,
     ).stdout
-    report = json.loads(out)
+    return json.loads(out)
+
+
+def test_cli_import_loads_the_traced_modules_but_not_dataclasses_or_decimal(report):
     loaded = set(report["loaded"])
     assert {"dataclasses", "inspect", "decimal"}.isdisjoint(loaded)
     traced = _traced_modules()
     assert traced == {"cli", "digits", "bounds", "engine", "valuation", "identities"}
     assert {f"binomlcm.{name}" for name in traced} <= loaded
     assert report["rendered"] and report["decimal_after"]
+
+
+def test_bench_loads_only_when_its_names_are_used(report):
+    assert "binomlcm.bench" not in report["loaded"]
+    # The bench names still resolve on the package, and under a star import.
+    assert report["bench_record"] == "binomlcm.bench" and report["bench_after"]
+    assert report["star_missing"] == []
