@@ -22,7 +22,6 @@ from .engine import (
     row_lcm_naive,
     row_lcm_valuation,
     sieve_primes,
-    weighted_row_lcm,
 )
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 from .identities import (
@@ -104,5 +103,4 @@ __all__ = [
     "verify_theorem3",
     "verify_theorem4",
     "verify_theorem5",
-    "weighted_row_lcm",
 ]

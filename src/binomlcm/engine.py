@@ -13,11 +13,10 @@ that scale very differently:
 * farhi      -- expand(lcm_range(n+1)) / (n+1), exact division; one
                 sieve plus one big division.
 * valuation  -- per prime p <= n, the largest carry count any entry can
-                have (see valuation.max_binomial_valuation); returns a
-                factorization and never touches row-sized integers.
-                Above isqrt(n), n has two base-p digits and the carry
-                DP reduces to one digit test, so those primes (nearly
-                all of them) cost one comparison each.
+                have; returns a factorization and never touches
+                row-sized integers. The borrow rule that gives each
+                exponent lives in valuation (_row_exponents); above
+                isqrt(n) it is one digit test per prime.
 
 Range lcms likewise come in two routes: a gcd fold over 1..n (oracle)
 and the prime-power factorization lcm(1..n) = prod p^max{e : p^e <= n}.
@@ -45,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import bracket_digit_count, bracket_product, decimal_digits
 from .errors import DomainError, InternalConsistencyError
-from .valuation import Prime, _max_borrows
+from .valuation import Prime, _row_exponents
 
 __all__ = [
     "PrimePowerFactorization",
@@ -61,7 +60,6 @@ __all__ = [
     "row_lcm_naive",
     "row_lcm_farhi",
     "row_lcm_valuation",
-    "weighted_row_lcm",
 ]
 
 
@@ -173,10 +171,13 @@ class BinomialRow:
     half-row fold (entries 0..floor(n/2)) and skips every later entry
     equal to its mirror among those, so a Pascal row is folded once, in
     row order, and each of its values once. Equality, hash and repr read
-    only n and entries, which cannot be reassigned.
+    only n and entries, which cannot be reassigned. entries must have
+    n + 1 items, or the folds would answer for some other row.
     """
 
     def __init__(self, n: int, entries: tuple[int, ...]):
+        if len(entries) != n + 1:
+            raise DomainError(f"row {n} needs {n + 1} entries, got {len(entries)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
@@ -432,35 +433,18 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     """lcm of C(n,0..n) as a factorization, one max-valuation per prime.
 
     The exponent of p is the largest v_p(C(n,k)) over 0 <= k <= n, the
-    most borrows any base-p subtraction n - k can make. The two-state
-    digit DP of max_binomial_valuation finds it from the digits of n
-    without enumerating k. For p <= isqrt(n) the DP runs as is; for
-    p > isqrt(n), n has exactly two base-p digits and the DP's two steps
-    are unrolled to one test of the low digit. The primes are plain
-    ints from _primes_upto, so no Prime is made, and above the square
-    root no function is called per prime. Scales to the default valuation
-    cap of n = 10^6, far past where row materialization stops being
-    feasible.
+    most borrows any base-p subtraction n - k can make. That borrow rule
+    lives in valuation: _row_exponents finds each exponent from the
+    digits of n without enumerating k, and above isqrt(n) calls no
+    function per prime. The primes are plain ints from _primes_upto, so
+    no Prime is made. Scales to the default valuation cap of n = 10^6,
+    far past where row materialization stops being feasible.
     """
     if n < 0:
         raise DomainError("row_lcm_valuation requires n >= 0")
     check_cap(n, caps.valuation_n, "valuation-method row n")
     check_cap(n, caps.sieve_limit, "sieve limit")
-    primes = _primes_upto(n)
-    split = bisect_right(primes, math.isqrt(n))
-    items = [(p, e) for p in primes[:split] if (e := _max_borrows(n, p))]
-    # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. Below the top digit d1
-    # the DP starts at (f0, f1) = (0, 0); the low digit d0 then gives
-    # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0.
-    items += [(p, 1) for p in primes[split:] if n % p != p - 1]
-    return PrimePowerFactorization._trusted(items)
-
-
-def weighted_row_lcm(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
-    """lcm of the weighted row k*C(n,k) for k = 1..n."""
-    if n < 1:
-        raise DomainError("weighted_row_lcm requires n >= 1")
-    return binomial_row(n, caps=caps).weighted_lcm
+    return PrimePowerFactorization._trusted(_row_exponents(n, _primes_upto(n)))
 
 
 # name -> route(n, caps), for `row-lcm --method` and `bench row`. Each

@@ -21,8 +21,10 @@ continues from its half-row fold, which T5 reads, and skips each value
 equal to its mirror image, already folded, so a row is folded once. Its
 weighted terms k*C(n,k) are built once, for T1's fold and TERMWISE's
 left side. T4 is the bridge that makes T1 and T3 equivalent: its left
-side is T1's left side and its right side is T3's left side, here the
-very same cached values.
+side is T1's left side, row n's cached weighted fold, and its right
+side is T3's left side, n * lcm(row n-1) read off row n-1's cached
+fold (CHAIN computes that product once and reports it twice). The
+per-n facts are a plain record; every cached value lives on a row.
 Everywhere else the two sides of a report go through maximally
 independent routes (e.g. no left side ever touches the prime-power
 factorization that produces the right side), so a single bug cannot
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from itertools import chain, pairwise, repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -227,31 +228,15 @@ class EquivalenceChainReport(_ChainFields):
 # row n or only row n-1, and a builder from the shared per-n facts.
 
 
-class _Facts:
-    """The quantities at n that several identities share.
+class _Facts(NamedTuple):
+    """The inputs at n that several identities share; every cached value
+    (row folds, weighted terms) lives on the rows themselves."""
 
-    The row folds and weighted terms are cached on the rows
-    (BinomialRow.half_lcm, .lcm, .weighted_terms, .weighted_lcm); only
-    n * lcm(row n-1) is cached here.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        prev: BinomialRow | None,  # row n-1; None at n = 0
-        row: BinomialRow | None,  # row n; None at last when no selected identity reads it
-        range_lcm: int | None,  # lcm(1..n); None when no selected identity reads a range lcm
-        next_range_lcm: int | None,  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
-    ):
-        self.n = n
-        self.prev = prev
-        self.row = row
-        self.range_lcm = range_lcm
-        self.next_range_lcm = next_range_lcm
-
-    @cached_property
-    def scaled_prev_lcm(self) -> int:
-        return self.n * self.prev.lcm
+    n: int
+    prev: BinomialRow | None  # row n-1; None at n = 0
+    row: BinomialRow | None  # row n; None at last when no selected identity reads it
+    range_lcm: int | None  # lcm(1..n); None when no selected identity reads a range lcm
+    next_range_lcm: int | None  # lcm(1..n+1); None past the sieve limit, which T2 extends to last + 1
 
 
 def _theorem5_report(f: _Facts) -> IdentityReport:
@@ -313,13 +298,13 @@ _REGISTRY = {
     Theorem.T2: _Entry(0, True, 1, lambda f: IdentityReport.build(
         Theorem.T2, f.n, f.row.lcm, row_quotient(f.next_range_lcm, f.n), _M_ROW_FOLD, _M_FARHI_QUOT)),
     Theorem.T3: _Entry(1, False, 0, lambda f: IdentityReport.build(
-        Theorem.T3, f.n, f.scaled_prev_lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
+        Theorem.T3, f.n, f.n * f.prev.lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
     Theorem.T4: _Entry(1, True, None, lambda f: IdentityReport.build(
-        Theorem.T4, f.n, f.row.weighted_lcm, f.scaled_prev_lcm, _M_WEIGHTED, _M_SCALED_PREV)),
+        Theorem.T4, f.n, f.row.weighted_lcm, f.n * f.prev.lcm, _M_WEIGHTED, _M_SCALED_PREV)),
     Theorem.T5: _Entry(1, False, 0, _theorem5_report),
     Theorem.TERMWISE: _Entry(1, True, None, _termwise_report),
     Theorem.CHAIN: _Entry(1, True, 0, lambda f: EquivalenceChainReport.build(
-        f.n, f.row.weighted_lcm, f.scaled_prev_lcm, f.range_lcm)),
+        f.n, f.row.weighted_lcm, f.n * f.prev.lcm, f.range_lcm)),
 }
 _NAMES = {Theorem.CHAIN: "equivalence chain"}
 

@@ -8,6 +8,14 @@ deliberately separate so each can catch bugs in the other:
 * Carry counting: v_p(C(n,k)) equals the number of carries produced
   when adding k and n-k in base p.
 
+The valuation route to a row lcm is a borrow rule: the exponent of p
+in lcm(C(n,0..n)) is the most borrows any base-p subtraction n - k
+makes. Both shapes of that rule live here: the digit DP
+(max_binomial_valuation, _max_borrows) and, for a whole row at once,
+_row_exponents, which runs the DP up to isqrt(n) and its two-digit
+unrolling above it; engine.row_lcm_valuation reads its exponents from
+there.
+
 Everything here is exact integer arithmetic. Base-p digits come from
 repeated integer division; floating-point logarithms misround near
 prime-power boundaries and are banned from this module.
@@ -16,6 +24,8 @@ prime-power boundaries and are banned from this module.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from math import isqrt
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -158,8 +168,7 @@ def max_binomial_valuation(n: int, p) -> int:
     what the test suite checks this against.
 
     p is checked prime and n nonnegative here; the DP itself is
-    _max_borrows, which engine.row_lcm_valuation calls directly with
-    sieved primes.
+    _max_borrows, which _row_exponents runs on sieved primes.
     """
     p = _as_prime(p)
     if n < 0:
@@ -182,3 +191,16 @@ def _max_borrows(n: int, p: int) -> int:
         both = max(f0, 1 + f1)
         f0, f1 = (both if d <= p - 2 else f0), (both if d >= 1 else 1 + f1)
     return f0
+
+
+def _row_exponents(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    # (p, max borrows of n - k in base p) for each p in primes (trusted,
+    # increasing, all <= n) whose exponent is >= 1: the factorization of
+    # lcm(C(n,0..n)). Below the split the DP runs as is.
+    split = bisect_right(primes, isqrt(n))
+    items = [(p, e) for p in primes[:split] if (e := _max_borrows(n, p))]
+    # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. Below the top digit d1
+    # the DP starts at (f0, f1) = (0, 0); the low digit d0 then gives
+    # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0.
+    items += [(p, 1) for p in primes[split:] if n % p != p - 1]
+    return items

@@ -24,7 +24,6 @@ from binomlcm import (
     row_lcm_naive,
     row_lcm_valuation,
     sieve_primes,
-    weighted_row_lcm,
 )
 from binomlcm import engine
 from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold, _primes_upto
@@ -306,11 +305,19 @@ class TestBinomialRow:
     def test_equality_reads_type_n_and_entries_and_fields_stay_fixed(self):
         row = binomial_row(4)
         assert row == BinomialRow(4, (1, 4, 6, 4, 1)) and hash(row) == hash(BinomialRow(4, (1, 4, 6, 4, 1)))
-        assert row != BinomialRow(5, row.entries) and row != (4, row.entries)
+        assert row != binomial_row(5) and row != (4, row.entries)
         for name, value in (("n", 5), ("entries", (1,)), ("lcm", 1)):
             with pytest.raises(AttributeError):
                 setattr(row, name, value)
         assert (row.n, row.entries, row.lcm) == (4, (1, 4, 6, 4, 1), 12)
+
+    @pytest.mark.parametrize(
+        "n, entries", [(5, (1, 4, 6, 4, 1)), (0, (1, 2, 3)), (3, (1, 3, 3, 1, 1)), (2, ())]
+    )
+    def test_entries_must_have_n_plus_one_items(self, n, entries):
+        # Otherwise the folds would answer for another row.
+        with pytest.raises(DomainError, match=rf"row {n} needs {n + 1} entries, got {len(entries)}"):
+            BinomialRow(n, entries)
 
 
 class TestRowLcmRoutes:
@@ -404,20 +411,20 @@ class TestValuationRoute:
 
 
 class TestWeightedRowLcm:
-    def test_examples(self):
-        assert weighted_row_lcm(1) == 1
-        assert fold_lcm([4, 12, 12, 4]) == 12
-        assert weighted_row_lcm(4) == 12
-        assert fold_lcm([6, 30, 60, 60, 30, 6]) == 60
-        assert weighted_row_lcm(6) == 60
+    """BinomialRow.weighted_lcm, the lcm of k*C(n,k) for k = 1..n."""
 
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            weighted_row_lcm(0)
+    def test_examples(self):
+        assert binomial_row(0).weighted_lcm == 1  # the empty lcm
+        assert binomial_row(1).weighted_lcm == 1
+        assert fold_lcm([4, 12, 12, 4]) == 12
+        assert binomial_row(4).weighted_lcm == 12
+        assert fold_lcm([6, 30, 60, 60, 30, 6]) == 60
+        assert binomial_row(6).weighted_lcm == 60
 
     def test_matches_comb_oracle(self):
-        for n in range(1, 121):
-            assert weighted_row_lcm(n) == brute_weighted_row_lcm(n)
+        for row in iter_binomial_rows(120):
+            if row.n:
+                assert row.weighted_lcm == brute_weighted_row_lcm(row.n)
 
 
 @st.composite

@@ -18,7 +18,12 @@ from pathlib import Path
 
 import pytest
 
+import binomlcm
+
 ROOT = Path(__file__).resolve().parents[1]
+# The child imports the package this process imported, so a copy of the
+# source put first on PYTHONPATH (as tests/mutants.py does) is the one checked.
+SRC = Path(binomlcm.__file__).resolve().parents[1]
 
 _CHILD = """
 import json, sys
@@ -55,7 +60,7 @@ def _traced_modules() -> set[str]:
 def report() -> dict:
     out = subprocess.run(
         [sys.executable, "-c", _CHILD],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
