@@ -27,6 +27,10 @@ lcm(1..m-1) otherwise (iter_range_lcms).
 Primes come from one bytearray sieve, _primes_upto, read out as plain
 ints: lcm_range, prime_power_bases and row_lcm_valuation read it
 directly, and sieve_primes wraps its output as Prime for the API.
+A PrimePowerFactorization holds two parallel tuples, its primes and
+their exponents, with no (p, e) pair or dict per prime: lcm_range fills
+them from the sieve's list itself, and row_lcm_valuation from the two
+lists _row_exponents returns. Its items() is a one-pass iterator.
 
 All values are exact; nothing in this module goes through floats.
 """
@@ -34,10 +38,10 @@ All values are exact; nothing in this module goes through floats.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, ne
 from typing import Iterable, Iterator, Mapping
 
@@ -78,14 +82,17 @@ def _product(values: list[int]) -> int:
 class PrimePowerFactorization:
     """A canonical product of prime powers, prod p^e with e >= 1.
 
-    Keys are primes in strictly increasing order and zero exponents are
-    never stored, so expand() is injective: two distinct factorizations
-    always expand to distinct integers. The constructor validates each
-    key as a Prime; lcm_range and row_lcm_valuation build through
-    _trusted with plain-int primes from _primes_upto.
+    Stored as two parallel tuples, the primes in strictly increasing
+    order and their exponents, with no pair or dict per prime; a lookup
+    bisects the primes. Zero exponents are never stored, so expand() is
+    injective: two distinct factorizations always expand to distinct
+    integers. items() is a one-pass iterator of (p, e) pairs. The
+    constructor validates each key as a Prime; lcm_range and
+    row_lcm_valuation build through _trusted with plain-int primes from
+    _primes_upto.
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_primes", "_exps")
 
     def __init__(self, factors: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = factors.items() if isinstance(factors, Mapping) else factors
@@ -98,43 +105,51 @@ class PrimePowerFactorization:
                 raise DomainError(f"duplicate prime {int(p)}")
             if e > 0:
                 seen[p] = e
-        self._factors = dict(sorted(seen.items()))
+        self._primes = tuple(sorted(seen))
+        self._exps = tuple(map(seen.__getitem__, self._primes))
 
     @classmethod
-    def _trusted(cls, sorted_items: list[tuple[int, int]]) -> "PrimePowerFactorization":
-        # Internal fast path: items already sorted, prime, exponent >= 1.
-        # lcm_range and row_lcm_valuation pass plain-int keys: a Prime
+    def _trusted(cls, primes: Iterable[int], exps: Iterable[int]) -> "PrimePowerFactorization":
+        # Internal fast path: primes increasing, exps >= 1, one per prime.
+        # lcm_range and row_lcm_valuation pass plain-int primes: a Prime
         # hashes and compares as its int, and repr and to_pairs call
         # int(p), so nothing outside can tell.
         obj = object.__new__(cls)
-        obj._factors = dict(sorted_items)
+        obj._primes = tuple(primes)
+        obj._exps = tuple(exps)
         return obj
 
-    def items(self):
-        return self._factors.items()
+    def items(self) -> Iterator[tuple[int, int]]:
+        """The (p, e) pairs in increasing prime order, as a one-pass iterator."""
+        return zip(self._primes, self._exps)
 
     def get(self, p: int, default: int = 0) -> int:
-        return self._factors.get(p, default)
+        primes = self._primes
+        i = bisect_left(primes, p)
+        return self._exps[i] if i < len(primes) and primes[i] == p else default
 
     def __getitem__(self, p: int) -> int:
-        return self._factors[p]
+        e = self.get(p, None)
+        if e is None:
+            raise KeyError(p)
+        return e
 
     def __contains__(self, p: int) -> bool:
-        return p in self._factors
+        return self.get(p, None) is not None
 
     def __iter__(self):
-        return iter(self._factors)
+        return iter(self._primes)
 
     def __len__(self) -> int:
-        return len(self._factors)
+        return len(self._primes)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PrimePowerFactorization):
-            return self._factors == other._factors
+            return self._primes == other._primes and self._exps == other._exps
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self._factors.items()))
+        return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
         inner = " * ".join(f"{int(p)}^{e}" if e > 1 else f"{int(p)}" for p, e in self.items())
@@ -142,7 +157,7 @@ class PrimePowerFactorization:
 
     def expand(self) -> int:
         """Multiply the factorization out to an exact integer."""
-        return _product([p**e for p, e in self._factors.items()])
+        return _product([p**e for p, e in self.items()])
 
     def digit_count(self) -> int:
         """Decimal digits of expand(), exactly, from an integer bracket of the product.
@@ -150,16 +165,16 @@ class PrimePowerFactorization:
         The product is built only when the bracket cannot decide: when it
         lies within about 2**-110 of a power of ten, such as 10**j itself.
         """
-        digits = bracket_digit_count(*bracket_product(self._factors.items()))
+        digits = bracket_digit_count(*bracket_product(self.items()))
         return decimal_digits(self.expand()) if digits is None else digits
 
     def log_value(self) -> float:
         """ln(expand()) as sum e*ln(p), compensated (never builds the int)."""
-        return math.fsum(e * math.log(p) for p, e in self._factors.items())
+        return math.fsum(e * math.log(p) for p, e in self.items())
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [[prime, exponent], ...] in increasing prime order."""
-        return [[int(p), e] for p, e in self._factors.items()]
+        return [[int(p), e] for p, e in self.items()]
 
 
 class BinomialRow:
@@ -274,9 +289,8 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     check_cap(n, caps.sieve_limit, "sieve limit")
     primes = _primes_upto(n)
     split = bisect_right(primes, math.isqrt(n))
-    items = [(p, _range_exponent(p, n)) for p in primes[:split]]
-    items += [(p, 1) for p in primes[split:]]
-    return PrimePowerFactorization._trusted(items)
+    exps = chain(map(_range_exponent, primes[:split], repeat(n)), repeat(1, len(primes) - split))
+    return PrimePowerFactorization._trusted(primes, exps)
 
 
 def prime_power_bases(limit: int) -> list[int]:
@@ -444,7 +458,7 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
         raise DomainError("row_lcm_valuation requires n >= 0")
     check_cap(n, caps.valuation_n, "valuation-method row n")
     check_cap(n, caps.sieve_limit, "sieve limit")
-    return PrimePowerFactorization._trusted(_row_exponents(n, _primes_upto(n)))
+    return PrimePowerFactorization._trusted(*_row_exponents(n, _primes_upto(n)))
 
 
 # name -> route(n, caps), for `row-lcm --method` and `bench row`. Each

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from itertools import repeat
 from math import isqrt
 
 from .errors import DomainError, InternalConsistencyError
@@ -193,14 +194,21 @@ def _max_borrows(n: int, p: int) -> int:
     return f0
 
 
-def _row_exponents(n: int, primes: list[int]) -> list[tuple[int, int]]:
-    # (p, max borrows of n - k in base p) for each p in primes (trusted,
-    # increasing, all <= n) whose exponent is >= 1: the factorization of
-    # lcm(C(n,0..n)). Below the split the DP runs as is.
+def _row_exponents(n: int, primes: list[int]) -> tuple[list[int], list[int]]:
+    # (kept, exps): each p in primes (trusted, increasing, all <= n) whose
+    # max borrow count e of n - k in base p is >= 1, and that e, in two
+    # parallel lists: the factorization of lcm(C(n,0..n)), with no pair
+    # per prime. Below the split the DP runs as is.
     split = bisect_right(primes, isqrt(n))
-    items = [(p, e) for p in primes[:split] if (e := _max_borrows(n, p))]
+    kept = []
+    exps = []
+    for p in primes[:split]:
+        if e := _max_borrows(n, p):
+            kept.append(p)
+            exps.append(e)
     # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. Below the top digit d1
     # the DP starts at (f0, f1) = (0, 0); the low digit d0 then gives
     # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0.
-    items += [(p, 1) for p in primes[split:] if n % p != p - 1]
-    return items
+    kept += [p for p in primes[split:] if n % p != p - 1]
+    exps += repeat(1, len(kept) - len(exps))
+    return kept, exps

@@ -82,9 +82,33 @@ MUTANTS = [
     ),
     Mutant(
         "two-digit-rule-low-digit", "valuation.py",
-        "n % p != p - 1",
-        "n % p != p - 2",
+        "kept += [p for p in primes[split:] if n % p != p - 1]",
+        "kept += [p for p in primes[split:] if n % p != p - 2]",
         ("tests/test_valuation.py::test_two_digit_form_matches_kummer_enumeration",),
+    ),
+    Mutant(
+        "row-large-prime-exponent-one-short", "valuation.py",
+        "exps += repeat(1, len(kept) - len(exps))",
+        "exps += repeat(1, len(kept) - len(exps) - 1)",
+        ("tests/test_engine.py::TestValuationRoute::test_isqrt_boundary_full_sieve",),
+    ),
+    Mutant(
+        "range-large-prime-exponent-one-short", "engine.py",
+        "repeat(1, len(primes) - split))",
+        "repeat(1, len(primes) - split - 1))",
+        ("tests/test_engine.py::TestLcmRange::test_six",),
+    ),
+    Mutant(
+        "factorization-lookup-bisect-right", "engine.py",
+        "i = bisect_left(primes, p)",
+        "i = bisect_right(primes, p)",
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
+    ),
+    Mutant(
+        "factorization-eq-primes-only", "engine.py",
+        "return self._primes == other._primes and self._exps == other._exps",
+        "return self._primes == other._primes",
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
     ),
     Mutant(
         # Puts p = isqrt(n) above the split at n = p^2, where n has three digits.

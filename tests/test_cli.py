@@ -26,6 +26,7 @@ from binomlcm import (
     Theorem,
     check_bounds,
 )
+import binomlcm
 from binomlcm import cli
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
@@ -337,8 +338,10 @@ class TestUsageAndCaps:
         # | head -2 must get the first two lines, with no BrokenPipeError
         # traceback and exit 0, in every format and with stdout unbuffered
         # too (each write is then a system call); 3000 records are many
-        # batches.
-        root = Path(__file__).resolve().parents[1]
+        # batches. The child imports the package this process imported, so
+        # a copy of the source put first on PYTHONPATH (as tests/mutants.py
+        # does) is the one it runs.
+        src = Path(binomlcm.__file__).resolve().parents[1]
         for fmt in ("plain", "csv", "json"):
             argv = ["bounds", "--to", "3000", "--format", fmt]
             whole = io.StringIO()
@@ -346,7 +349,7 @@ class TestUsageAndCaps:
                 assert run(argv) == 0
             expected = whole.getvalue().splitlines(keepends=True)[:2]
             for unbuffered in (False, True):
-                env = {**os.environ, "PYTHONPATH": str(root / "src")}
+                env = {**os.environ, "PYTHONPATH": str(src)}
                 env.pop("PYTHONUNBUFFERED", None)
                 if unbuffered:
                     env["PYTHONUNBUFFERED"] = "1"

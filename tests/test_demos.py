@@ -14,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import binomlcm
+
 ROOT = Path(__file__).resolve().parent.parent
+# The demos import the package this process imported, so a copy of the
+# source put first on PYTHONPATH (as tests/mutants.py does) is the one run.
+SRC = Path(binomlcm.__file__).resolve().parents[1]
 
 DIGESTS = {
     "01_three_roads_to_a_row_lcm.py": "5f6e70466e7fc5941e77d432d29744eb3e55c967eee2e092f1a854255f198e79",
@@ -24,7 +29,7 @@ DIGESTS = {
 
 
 def run_demo(demo: str) -> bytes:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, env=env, timeout=120, check=False
     )

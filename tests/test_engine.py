@@ -1,6 +1,7 @@
 """Engine module: sieve, factorizations, rows, and the three row routes."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from functools import reduce
 
@@ -86,6 +87,10 @@ class TestPrimePowerFactorization:
         b = PrimePowerFactorization([(3, 1), (2, 2)])
         assert a == b
         assert hash(a) == hash(b)
+        assert a != PrimePowerFactorization({2: 3, 3: 1})
+        assert a != PrimePowerFactorization({2: 2, 5: 1})
+        # The hash of the (p, e) pairs, as when a dict held them.
+        assert hash(a) == hash(((2, 2), (3, 1)))
 
     def test_distinct_factorizations_expand_distinctly(self):
         fs = [
@@ -106,6 +111,62 @@ class TestPrimePowerFactorization:
     def test_log_value_matches_ln_of_expansion(self):
         f = lcm_range(500)
         assert f.log_value() == pytest.approx(math.log(f.expand()), rel=1e-12)
+
+
+_SOME_PRIMES = _primes_upto(1000) + [65_521, 2**31 - 1]
+
+
+@st.composite
+def _factor_dicts(draw) -> dict[int, int]:
+    # Prime -> exponent in increasing prime order: empty, one prime, zero
+    # exponents (dropped by the validated build) and large ones.
+    exponents = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=1000)
+    drawn = draw(st.dictionaries(st.sampled_from(_SOME_PRIMES), exponents, max_size=25))
+    return dict(sorted(drawn.items()))
+
+
+def _digits_oracle(x: int) -> int:
+    # Decimal digits of x >= 1 by exact comparison with powers of ten.
+    d = max(1, x.bit_length() * 3 // 10)
+    while 10**d <= x:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > x:
+        d -= 1
+    return d
+
+
+class TestFactorizationAgainstDict:
+    """The parallel-tuple factorization, validated and _trusted builds, against a dict oracle."""
+
+    @given(_factor_dicts())
+    @settings(deadline=None, max_examples=150)
+    def test_both_builds_agree_with_the_dict(self, drawn):
+        oracle = {p: e for p, e in drawn.items() if e}
+        validated = PrimePowerFactorization(drawn)
+        trusted = PrimePowerFactorization._trusted(list(oracle), list(oracle.values()))
+        assert validated == trusted and hash(validated) == hash(trusted)
+        value = math.prod(p**e for p, e in oracle.items())
+        pairs = list(oracle.items())
+        inner = " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in pairs)
+        misses = [0, 1, 4, 1001, 2**32, *(p for p in _SOME_PRIMES[:40] if p not in oracle)]
+        for f in (validated, trusted):
+            for p, e in pairs:
+                assert f.get(p) == f[p] == e and p in f
+            for miss in misses:
+                assert f.get(miss) == 0 and f.get(miss, None) is None and miss not in f
+                with pytest.raises(KeyError):
+                    f[miss]
+            assert list(f) == list(oracle) and len(f) == len(oracle)
+            assert list(f.items()) == list(f.items()) == pairs
+            assert f.to_pairs() == [[p, e] for p, e in pairs]
+            assert repr(f) == f"PrimePowerFactorization({inner or '1'})"
+            assert f.expand() == value
+            assert f.digit_count() == _digits_oracle(value)
+            assert hash(f) == hash(tuple(pairs))
+        if pairs:
+            (p, e), *rest = pairs
+            bumped = PrimePowerFactorization([(p, e + 1), *rest])
+            assert validated != bumped and trusted != bumped
 
 
 class TestLcmRange:
@@ -408,6 +469,31 @@ class TestValuationRoute:
         assert hash(got) == hash(validated)
         assert repr(got) == repr(validated)
         assert got.to_pairs() == validated.to_pairs()
+
+
+def _traced_peak_bytes(fn) -> int:
+    # Peak of the memory tracemalloc sees allocated during fn(), above what
+    # was live when it started.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route", [row_lcm_valuation, lcm_range], ids=["valuation", "range"])
+def test_factorization_routes_hold_no_pair_per_prime(route):
+    # At n = 3*10^5 the sieve gives about 26,000 primes. A (p, e) tuple per
+    # prime, or a dict built from them, peaked at 4.4-4.5 MB; two flat
+    # tuples next to the sieve's list stay near 1.7 MB.
+    peak = _traced_peak_bytes(lambda: route(300_000).digit_count())
+    assert peak < 2.5e6, f"{route.__name__}(300000).digit_count() peaked at {peak / 1e6:.2f} MB"
 
 
 class TestWeightedRowLcm:
