@@ -8,7 +8,7 @@ the classical growth bounds on lcm(1..n). Everything numeric is exact
 big-integer arithmetic.
 """
 
-from .bounds import BoundsRecord, check_bounds, psi_table
+from .bounds import BoundsRecord, check_bounds, iter_psi_table, psi_table
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_digits, decimal_str
 from .engine import (
@@ -86,6 +86,7 @@ __all__ = [
     "decimal_str",
     "equivalence_chain",
     "iter_binomial_rows",
+    "iter_psi_table",
     "kummer_binomial_valuation",
     "lcm_range",
     "lcm_sequence",

@@ -14,11 +14,17 @@ The one floating-point quantity is psi_over_n = ln(lcm(1..n)) / n,
 computed from the factorization as the correctly rounded sum of the
 float terms e*ln(p). It tracks the classical log lcm(1..n) ~ n growth
 and is reporting data only, never a pass/fail criterion.
+
+iter_psi_table yields the records of a sweep as it makes them, and
+psi_table is their list. The bounds subcommand streams iter_psi_table, so
+its memory does not grow with the number of records, and a reader that
+stops early (| head) ends the sweep at the next write.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -29,7 +35,7 @@ from .errors import DomainError
 # Not used here: perfbench/layer_trace.py still times the prime-power table under this old name.
 _smallest_prime_factors = prime_power_bases
 
-__all__ = ["BoundsRecord", "check_bounds", "psi_table", "BOUNDS_CSV_HEADER", "BOUNDS_PLAIN_HEADER"]
+__all__ = ["BoundsRecord", "check_bounds", "iter_psi_table", "psi_table", "BOUNDS_CSV_HEADER", "BOUNDS_PLAIN_HEADER"]
 
 BOUNDS_CSV_HEADER = ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "psi_over_n"]
 BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}"
@@ -131,10 +137,24 @@ def _units(x: float) -> int:
 
 
 def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[BoundsRecord]:
-    """Records at n = step, 2*step, ..., <= max_n, built cumulatively.
+    """The records of iter_psi_table(max_n, step), as a list.
 
-    A step above max_n leaves no sample and is a DomainError, as an
-    empty verify range is.
+    The list grows with max_n / step, about 175 bytes a record (17.5 MB
+    at 10**5 records); the bounds subcommand streams iter_psi_table
+    instead, and its peak at 10**5 records is 1.6 MB, mostly the
+    prime-power table.
+    """
+    return list(iter_psi_table(max_n, step, caps=caps))
+
+
+def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterator[BoundsRecord]:
+    """Records at n = step, 2*step, ..., <= max_n, built cumulatively and yielded as made.
+
+    Every argument is checked at the call, before the first record is
+    asked for: a step below 1, a max_n below 1, a step above max_n (no
+    sample, a DomainError as an empty verify range is) and the sieve cap.
+    No record is kept once yielded, so a sweep holds the prime-power
+    table and the running lcm, whatever max_n is.
 
     One pass holds the running lcm: lcm(1..n) gains exactly one factor
     p whenever n is a prime power p^e, so each step is a lookup in
@@ -164,7 +184,11 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     if step > max_n:
         raise DomainError(f"psi_table has no sample: step {step} > max_n {max_n}")
     check_cap(max_n, caps.sieve_limit, "psi table max_n")
+    return _psi_records(max_n, step)
 
+
+def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
+    # The sweep of iter_psi_table, whose arguments are already checked.
     bases = prime_power_bases(max_n)
     psi_units = 0
     running = 1
@@ -173,7 +197,6 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
     digits = 1
     next_ten = 10  # 10**digits, the smallest power of ten above running
     psi = 0.0  # psi_units as a float
-    records = []
     for n in range(1, max_n + 1):
         p = bases[n]
         if p > 1:  # n = p^e
@@ -188,5 +211,4 @@ def psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CAPS) -
                 bits = running.bit_length()
                 digits, next_ten = advance_digit_count(running, digits, next_ten)
                 psi = psi_units / _UNITS_PER_ONE
-            records.append(_record(n, running, bits, digits, psi))
-    return records
+            yield _record(n, running, bits, digits, psi)

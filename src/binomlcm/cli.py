@@ -25,14 +25,12 @@ variables, then --max-* flags (flags win).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from itertools import islice
 
-from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
+from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, iter_psi_table
 from .caps import CAP_FIELDS, ResourceCaps
 from .digits import decimal_digits, decimal_str
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range
@@ -134,11 +132,13 @@ def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
     return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 
-# Encodes a list of nonempty flat dicts (every record's to_json_dict())
-# with each member laid out as json.dumps([...], indent=2) lays it out;
-# without indent the json module uses its C encoder. Between two records
-# it puts _JSON_GLUE, which _JSON_BREAK turns into indent=2's layout.
-_JSON_RECORD = json.JSONEncoder(separators=(",\n    ", ": "))
+# json and csv are imported by the format that writes them, so a run
+# loads only its own. A JSONEncoder with these separators encodes a list
+# of nonempty flat dicts (every record's to_json_dict()) with each member
+# laid out as json.dumps([...], indent=2) lays it out; without indent the
+# json module uses its C encoder. Between two records it puts _JSON_GLUE,
+# which _JSON_BREAK turns into indent=2's layout.
+_JSON_SEPARATORS = (",\n    ", ": ")
 # This text stands only between two records: a raw newline never occurs
 # inside an encoded string, and in a flat dict no member ends in "}" or
 # begins with "{" (each begins with a quoted key and ends in a scalar).
@@ -164,10 +164,15 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
     """
     fmt = args.format
     if fmt == "json":
+        import json
+
+        encode = json.JSONEncoder(separators=_JSON_SEPARATORS).encode
         first, later, closing, empty = "[\n  {\n    ", ",\n  {\n    ", "\n]\n", "[]\n"
     else:
         first = later = closing = ""
         if fmt == "csv":
+            import csv
+
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")
             writer.writerow(csv_header)  # stays in the buffer for the first batch
@@ -181,7 +186,7 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
         for r in batch:
             ok &= r.ok
         if fmt == "json":
-            encoded = _JSON_RECORD.encode([r.to_json_dict() for r in batch])
+            encoded = encode([r.to_json_dict() for r in batch])
             text = encoded[2:-2].replace(_JSON_GLUE, _JSON_BREAK) + "\n  }"
         elif fmt == "csv":
             writer.writerows([r.to_csv_row() for r in batch])
@@ -221,8 +226,12 @@ def _emit_value(args, result, **extra) -> int:
     if text is not None:
         doc["value"] = text
     if args.format == "json":
+        import json
+
         print(json.dumps(doc, indent=2))
     else:
+        import csv
+
         header = [k for k in doc if k != "factorization"]
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, [doc[k] for k in header]])
     return 0
@@ -243,7 +252,7 @@ def _cmd_verify(args, caps) -> int:
 
 
 def _cmd_bounds(args, caps) -> int:
-    return _emit(args, psi_table(args.max_n, args.step, caps=caps), BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER)
+    return _emit(args, iter_psi_table(args.max_n, args.step, caps=caps), BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER)
 
 
 def _cmd_bench(args, caps) -> int:

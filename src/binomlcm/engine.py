@@ -182,12 +182,14 @@ class BinomialRow:
 
     Its lcm folds and weighted terms are cached on the row, each built at
     most once per row object: the identity sweep reads row n at n and
-    again as the previous row at n+1. The full fold continues from the
-    half-row fold (entries 0..floor(n/2)) and skips every later entry
-    equal to its mirror among those, so a Pascal row is folded once, in
-    row order, and each of its values once. Equality, hash and repr read
-    only n and entries, which cannot be reassigned. entries must have
-    n + 1 items, or the folds would answer for some other row.
+    again as the previous row at n+1, the second time for its folds only,
+    so the sweep drops the cached terms once step n is done. The full
+    fold continues from the half-row fold (entries 0..floor(n/2)) and
+    skips every later entry equal to its mirror among those, so a Pascal
+    row is folded once, in row order, and each of its values once.
+    Equality, hash and repr read only n and entries, which cannot be
+    reassigned. entries must have n + 1 items, or the folds would answer
+    for some other row.
     """
 
     def __init__(self, n: int, entries: tuple[int, ...]):

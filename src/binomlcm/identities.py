@@ -354,6 +354,10 @@ def verify_range(
             facts = _Facts(n, prev, row, range_lcm, next_range_lcm)
             for group, entry in zip(groups, entries):
                 group.append(entry.build(facts))
+            if row is not None:
+                # Only row n's weighted terms are ever read, and only at n:
+                # release them, so the sweep holds no row's terms past its step.
+                vars(row).pop("weighted_terms", None)
     return [report for group in groups for report in group]
 
 

@@ -75,6 +75,32 @@ MUTANTS = [
         ("tests/test_import_path.py::test_bench_loads_only_when_its_names_are_used",),
     ),
     Mutant(
+        "json-imported-at-cli-top", "cli.py",
+        "import argparse\nimport io\n",
+        "import argparse\nimport io\nimport json  # noqa: F401\n",
+        ("tests/test_import_path.py::test_json_and_csv_load_only_with_their_output_format",),
+    ),
+    Mutant(
+        "bounds-cli-holds-the-list", "cli.py",
+        "    return _emit(args, iter_psi_table(",
+        "    from .bounds import psi_table\n\n    return _emit(args, psi_table(",
+        ("tests/test_bounds.py::TestIterPsiTable::test_bounds_holds_no_record_list",
+         "tests/test_bounds.py::TestIterPsiTable::test_a_closed_pipe_stops_the_sweep"),
+    ),
+    Mutant(
+        # A generator function runs none of its body, the checks included, until the first next().
+        "psi-table-checks-lazy", "bounds.py",
+        "    return _psi_records(max_n, step)\n",
+        "    yield from _psi_records(max_n, step)\n",
+        ("tests/test_bounds.py::TestIterPsiTable::test_every_check_raises_at_the_call",),
+    ),
+    Mutant(
+        "sweep-keeps-weighted-terms", "identities.py",
+        '                vars(row).pop("weighted_terms", None)\n',
+        "                pass\n",
+        ("tests/test_identities.py::test_each_row_builds_its_weighted_terms_once_and_the_sweep_releases_them",),
+    ),
+    Mutant(
         "max-borrows-low-digit-bound", "valuation.py",
         "(both if d <= p - 2 else f0)",
         "(both if d <= p - 1 else f0)",

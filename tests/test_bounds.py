@@ -1,14 +1,32 @@
 """Bounds module: exact flags, the psi ratio, and CSV output."""
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binomlcm import BoundsRecord, DomainError, check_bounds, lcm_range, psi_table
+import binomlcm
+from binomlcm import (
+    DEFAULT_CAPS,
+    BoundsRecord,
+    DomainError,
+    ResourceCapError,
+    check_bounds,
+    iter_psi_table,
+    lcm_range,
+    psi_table,
+)
 from binomlcm.bounds import BOUNDS_CSV_HEADER
 from binomlcm.cli import run
-from helpers import brute_range_lcm, trial_is_prime
+from helpers import brute_range_lcm, fsum_psi_table, trial_is_prime
 
 
 class TestCheckBounds:
@@ -122,6 +140,76 @@ class TestPsiTable:
     def test_log_value_route_matches(self):
         f = lcm_range(777)
         assert f.log_value() == pytest.approx(math.log(f.expand()), rel=1e-12)
+
+
+class _Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestIterPsiTable:
+    @given(st.integers(1, 600).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))))
+    @settings(deadline=None, max_examples=60)
+    def test_yields_the_records_of_psi_table_and_the_fsum_oracle(self, case):
+        m, s = case
+        records = list(iter_psi_table(m, s))
+        assert records == psi_table(m, s)
+        assert [tuple(r) for r in records] == fsum_psi_table(m, s)
+
+    @pytest.mark.parametrize(
+        "max_n, step, caps, error, message",
+        [
+            (10, 0, DEFAULT_CAPS, DomainError, r"^psi_table requires step >= 1, got 0$"),
+            (0, 1, DEFAULT_CAPS, DomainError, r"^psi_table requires max_n >= 1, got 0$"),
+            (10, 11, DEFAULT_CAPS, DomainError, r"^psi_table has no sample: step 11 > max_n 10$"),
+            (100, 1, DEFAULT_CAPS.replace(sieve_limit=99), ResourceCapError, "psi table max_n"),
+        ],
+    )
+    def test_every_check_raises_at_the_call(self, max_n, step, caps, error, message):
+        # Before any next(): a caller sees bad input where it passes it.
+        with pytest.raises(error, match=message):
+            iter_psi_table(max_n, step, caps=caps)
+
+    def test_bounds_holds_no_record_list(self):
+        # The CLI streams the records: 10**5 of them at about 175 B each
+        # would hold some 17 MB; the sweep itself holds the prime-power
+        # table (1.1 MB) and a running lcm of 43,452 digits.
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                assert run(["bounds", "--to", "100000", "--format", "csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_a_closed_pipe_stops_the_sweep(self):
+        # A reader that closes after 3 lines ends the run at the next
+        # write, with exit 0 and no traceback, long before the sweep to
+        # 10**6 would finish (a held list of its records peaks near 190 MB).
+        # The child imports the package this process imported, so a copy
+        # of the source put first on PYTHONPATH is the one it runs.
+        src = Path(binomlcm.__file__).resolve().parents[1]
+        start = time.monotonic()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "binomlcm.cli", "bounds", "--to", "1000000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        lines = [child.stdout.readline() for _ in range(3)]
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 0, err
+        assert "Traceback" not in err
+        assert [line.split()[0] for line in lines] == [b"n", b"1", b"2"]
+        assert time.monotonic() - start < 5
 
 
 class TestCsv:

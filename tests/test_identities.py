@@ -2,6 +2,8 @@
 
 import math
 import sys
+from functools import cached_property
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -488,10 +490,34 @@ def test_each_row_folds_once_across_the_sweep(monkeypatch, selection, expected):
         assert len({row.n for row, in calls}) == len(calls)
 
 
+@pytest.mark.parametrize("selection", [list(Theorem), [Theorem.T1], [Theorem.TERMWISE]], ids=["all", "T1", "TERMWISE"])
+def test_each_row_builds_its_weighted_terms_once_and_the_sweep_releases_them(monkeypatch, selection):
+    rows = []
+    sweep = identities.iter_binomial_rows
+
+    def kept(*args, **kwargs):
+        for row in sweep(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    built = []
+    terms = BinomialRow.weighted_terms.func
+    counted = cached_property(lambda row: built.append(row.n) or terms(row))
+    counted.__set_name__(BinomialRow, "weighted_terms")
+    monkeypatch.setattr(identities, "iter_binomial_rows", kept)
+    monkeypatch.setattr(BinomialRow, "weighted_terms", counted)
+    reports = verify_range(selection, 1, 200)
+    assert all(r.ok for r in reports)
+    assert built == list(range(1, 201))
+    # No report at a later n reads them, so no row keeps them past its step.
+    assert [row.n for row in rows if "weighted_terms" in vars(row)] == []
+
+
 @pytest.mark.parametrize(
     "route, arg, limit",
     [
         ("psi_table", 5000, 5000),
+        ("iter_psi_table", 5000, 5000),
         ("lcm_range", 1000, 1000),
         ("row_lcm_farhi", 1000, 1001),
         ("row_lcm_valuation", 1000, 1000),
@@ -502,6 +528,8 @@ def test_each_prime_route_runs_the_plain_int_sieve_once(monkeypatch, route, arg,
     sieves = _count_calls(monkeypatch, "sieve_primes")
     passes = _count_calls(monkeypatch, "_primes_upto")
     result = fn(arg)
+    if isinstance(result, GeneratorType):
+        result = list(result)  # the sweep, and so its sieve, runs as records are read
     assert (sieves, passes) == ([], [(limit,)])
     if isinstance(result, binomlcm.PrimePowerFactorization):
         assert all(type(p) is int for p in result)

@@ -2,9 +2,10 @@
 
 Every CLI process pays for this import, so it must not pull in
 dataclasses (which loads inspect, ast, dis and tokenize), decimal
-(loaded on first use, by decimal_str of a value over 2000 bits) or
+(loaded on first use, by decimal_str of a value over 2000 bits),
 binomlcm.bench (loaded by `binomlcm bench` and by the package's bench
-names, on first use). It must still load every module that
+names, on first use), or json and csv (each loaded by the output format
+that writes it). It must still load every module that
 perfbench/layer_trace.py wraps, since the tracer finds them in
 sys.modules.
 """
@@ -26,9 +27,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(binomlcm.__file__).resolve().parents[1]
 
 _CHILD = """
-import json, sys
+import io, sys
 import binomlcm.cli
 loaded = sorted(sys.modules)
+# The modules each output format adds, one format after another.
+formats = {}
+for fmt in ("plain", "csv", "json"):
+    before = set(sys.modules)
+    sys.stdout, stdout = io.StringIO(), sys.stdout
+    try:
+        binomlcm.cli.run(["bounds", "--to", "5", "--format", fmt])
+    finally:
+        sys.stdout = stdout
+    formats[fmt] = sorted({"json", "csv"} & (set(sys.modules) - before))
+import json
 from binomlcm.digits import decimal_str
 x = 7**1000 * 3  # 2809 bits, 847 digits: decimal_str's Decimal route
 rendered = decimal_str(x) == str(x) and decimal_str(-x) == str(-x)
@@ -38,6 +50,7 @@ star = {}
 exec("from binomlcm import *", star)
 print(json.dumps({
     "loaded": loaded,
+    "formats": formats,
     "rendered": rendered,
     "decimal_after": "decimal" in sys.modules,
     "bench_record": bench_record,
@@ -75,6 +88,11 @@ def test_cli_import_loads_the_traced_modules_but_not_dataclasses_or_decimal(repo
     assert traced == {"cli", "digits", "bounds", "engine", "valuation", "identities"}
     assert {f"binomlcm.{name}" for name in traced} <= loaded
     assert report["rendered"] and report["decimal_after"]
+
+
+def test_json_and_csv_load_only_with_their_output_format(report):
+    assert {"json", "csv"}.isdisjoint(report["loaded"])
+    assert report["formats"] == {"plain": [], "csv": ["csv"], "json": ["json"]}
 
 
 def test_bench_loads_only_when_its_names_are_used(report):
