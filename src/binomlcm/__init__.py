@@ -31,12 +31,8 @@ from .identities import (
     chain_range,
     equivalence_chain,
     termwise_identity,
-    verify_farhi,
     verify_nair,
     verify_range,
-    verify_theorem3,
-    verify_theorem4,
-    verify_theorem5,
 )
 from .valuation import (
     Prime,
@@ -98,10 +94,6 @@ __all__ = [
     "row_lcm_valuation",
     "sieve_primes",
     "termwise_identity",
-    "verify_farhi",
     "verify_nair",
     "verify_range",
-    "verify_theorem3",
-    "verify_theorem4",
-    "verify_theorem5",
 ]

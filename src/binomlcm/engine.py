@@ -99,7 +99,7 @@ class PrimePowerFactorization:
         seen: dict[Prime, int] = {}
         for p, e in items:
             p = p if isinstance(p, Prime) else Prime(p)
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise DomainError(f"exponent of {int(p)} must be a natural, got {e!r}")
             if p in seen:
                 raise DomainError(f"duplicate prime {int(p)}")

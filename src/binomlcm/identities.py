@@ -13,8 +13,9 @@ The identities, in the ids used throughout this package:
     CHAIN          T1 -> T4 -> T3 -> lcm(1..n), the four linked quantities
 
 Each identity is one registry entry fed by one shared Pascal row sweep;
-a single n is the range [n, n]. The sweep is one loop that hands every
-builder the same facts at n: rows n-1 and n, lcm(1..n) and lcm(1..n+1).
+a single n is the range [n, n], so verify_range(T, n, n)[0] is T at n.
+The sweep is one loop that hands every builder the same facts at n:
+rows n-1 and n, lcm(1..n) and lcm(1..n+1).
 Each row caches its own folds, so the fold of row n made at n is the
 very value read as the previous row's at n+1. A row's full fold
 continues from its half-row fold, which T5 reads, and skips each value
@@ -38,10 +39,12 @@ with every division checked exact, run over half the row (t <= ceil(n/2))
 and mirrored by C(n-1,t-1) = C(n-1,n-t); its left side is read off the
 Pascal row, and all n terms of the two sides are compared pairwise.
 
-A false identity is data (holds == False in the report), never an
-exception; batch sweeps always run to completion so failures are fully
-enumerated. Exceptions are reserved for domain errors and for
-internal-consistency violations.
+A report stores its quantities and their provenance, never its verdict:
+holds (lhs == rhs) and the chain's all_equal are read off the quantities,
+so no report can disagree with its own sides. A false identity is data
+(holds == False), never an exception; batch sweeps always run to
+completion so failures are fully enumerated. Exceptions are reserved for
+domain errors and for internal-consistency violations.
 """
 
 from __future__ import annotations
@@ -57,9 +60,8 @@ from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotie
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
-    "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "verify_farhi", "verify_theorem3",
-    "verify_theorem4", "verify_theorem5", "termwise_identity", "equivalence_chain", "verify_range", "chain_range",
-    "IDENTITY_CSV_HEADER",
+    "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "termwise_identity", "equivalence_chain",
+    "verify_range", "chain_range", "IDENTITY_CSV_HEADER",
 ]
 
 # The CSV columns of both report types; a chain report fills them too.
@@ -87,42 +89,21 @@ _M_TERM_LHS = "sum of t*C(n,t) over t=1..n, each term checked exactly"
 _M_TERM_RHS = "sum of n*C(n-1,t-1) over t=1..n, each term checked exactly"
 
 
-class _IdentityFields(NamedTuple):
+class IdentityReport(NamedTuple):
+    """One verified identity instance; holds is read off its two sides."""
+
     theorem: Theorem
     n: int
     lhs: int
     rhs: int
-    holds: bool
     lhs_method: str
     rhs_method: str
 
-
-class IdentityReport(_IdentityFields):
-    """One verified identity instance.
-
-    holds is a stored field; the constructor, and so _make and _replace,
-    refuses one that differs from lhs == rhs.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, theorem, n, lhs, rhs, holds, lhs_method, rhs_method) -> "IdentityReport":
-        if holds != (lhs == rhs):
-            raise ValueError("holds must equal (lhs == rhs)")
-        return super().__new__(cls, theorem, n, lhs, rhs, holds, lhs_method, rhs_method)
-
-    @classmethod
-    def _make(cls, iterable) -> "IdentityReport":
-        # namedtuple's _make (and so _replace) would skip __new__'s check.
-        return cls(*iterable)
-
-    @classmethod
-    def build(cls, theorem, n, lhs, rhs, lhs_method, rhs_method) -> "IdentityReport":
-        return cls(theorem, n, lhs, rhs, lhs == rhs, lhs_method, rhs_method)
-
     @property
-    def ok(self) -> bool:
-        return self.holds
+    def holds(self) -> bool:
+        return self.lhs == self.rhs
+
+    ok = holds
 
     def plain_line(self) -> str:
         return (
@@ -153,43 +134,26 @@ class IdentityReport(_IdentityFields):
         }
 
 
-class _ChainFields(NamedTuple):
+class EquivalenceChainReport(NamedTuple):
+    """The four quantities linked by the T1 -> T4 -> T3 -> range chain.
+
+    q_thm4_rhs and q_thm3_lhs are the same expression by construction
+    (that identification is the bridge), so they are computed once and
+    reported twice to mirror the chain's structure. all_equal is read
+    off the four quantities.
+    """
+
     n: int
     q_nair: int
     q_thm4_rhs: int
     q_thm3_lhs: int
     q_range: int
-    all_equal: bool
-
-
-class EquivalenceChainReport(_ChainFields):
-    """The four quantities linked by the T1 -> T4 -> T3 -> range chain.
-
-    q_thm4_rhs and q_thm3_lhs are the same expression by construction
-    (that identification is the bridge), so they are computed once and
-    reported twice to mirror the chain's structure. all_equal is a stored
-    field; the constructor, and so _make and _replace, refuses one that
-    differs from the four-way coincidence.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n, q_nair, q_thm4_rhs, q_thm3_lhs, q_range, all_equal) -> "EquivalenceChainReport":
-        if all_equal != (q_nair == q_thm4_rhs == q_thm3_lhs == q_range):
-            raise ValueError("all_equal must equal the four-way coincidence")
-        return super().__new__(cls, n, q_nair, q_thm4_rhs, q_thm3_lhs, q_range, all_equal)
-
-    @classmethod
-    def _make(cls, iterable) -> "EquivalenceChainReport":
-        return cls(*iterable)
-
-    @classmethod
-    def build(cls, n, q_nair, q_mid, q_range) -> "EquivalenceChainReport":
-        return cls(n, q_nair, q_mid, q_mid, q_range, q_nair == q_mid == q_range)
 
     @property
-    def ok(self) -> bool:
-        return self.all_equal
+    def all_equal(self) -> bool:
+        return self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs == self.q_range
+
+    ok = all_equal
 
     def plain_line(self) -> str:
         return (
@@ -247,7 +211,7 @@ def _theorem5_report(f: _Facts) -> IdentityReport:
     # row, which divide it, so any other value with a new factor shows here.
     if half != f.prev.lcm:
         raise InternalConsistencyError(f"half-row lcm {half} != full-row lcm {f.prev.lcm} for row {f.prev.n}")
-    return IdentityReport.build(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
+    return IdentityReport(Theorem.T5, f.n, f.n * half, f.range_lcm, _M_HALF_ROW, _M_RANGE_FACT)
 
 
 def _termwise_rhs(n: int) -> list[int]:
@@ -281,8 +245,13 @@ def _termwise_report(f: _Facts) -> IdentityReport:
     if lhs != rhs:
         t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])
         at = f"at first failing t={t}"
-        return IdentityReport.build(Theorem.TERMWISE, n, lhs[t - 1], rhs[t - 1], f"t*C(n,t) {at}", f"n*C(n-1,t-1) {at}")
-    return IdentityReport.build(Theorem.TERMWISE, n, sum(lhs), sum(rhs), _M_TERM_LHS, _M_TERM_RHS)
+        return IdentityReport(Theorem.TERMWISE, n, lhs[t - 1], rhs[t - 1], f"t*C(n,t) {at}", f"n*C(n-1,t-1) {at}")
+    return IdentityReport(Theorem.TERMWISE, n, sum(lhs), sum(rhs), _M_TERM_LHS, _M_TERM_RHS)
+
+
+def _chain_report(f: _Facts) -> EquivalenceChainReport:
+    mid = f.n * f.prev.lcm
+    return EquivalenceChainReport(f.n, f.row.weighted_lcm, mid, mid, f.range_lcm)
 
 
 class _Entry(NamedTuple):
@@ -293,18 +262,17 @@ class _Entry(NamedTuple):
 
 
 _REGISTRY = {
-    Theorem.T1: _Entry(1, True, 0, lambda f: IdentityReport.build(
+    Theorem.T1: _Entry(1, True, 0, lambda f: IdentityReport(
         Theorem.T1, f.n, f.row.weighted_lcm, f.range_lcm, _M_WEIGHTED, _M_RANGE_FACT)),
-    Theorem.T2: _Entry(0, True, 1, lambda f: IdentityReport.build(
+    Theorem.T2: _Entry(0, True, 1, lambda f: IdentityReport(
         Theorem.T2, f.n, f.row.lcm, row_quotient(f.next_range_lcm, f.n), _M_ROW_FOLD, _M_FARHI_QUOT)),
-    Theorem.T3: _Entry(1, False, 0, lambda f: IdentityReport.build(
+    Theorem.T3: _Entry(1, False, 0, lambda f: IdentityReport(
         Theorem.T3, f.n, f.n * f.prev.lcm, f.range_lcm, _M_SCALED_PREV, _M_RANGE_FACT)),
-    Theorem.T4: _Entry(1, True, None, lambda f: IdentityReport.build(
+    Theorem.T4: _Entry(1, True, None, lambda f: IdentityReport(
         Theorem.T4, f.n, f.row.weighted_lcm, f.n * f.prev.lcm, _M_WEIGHTED, _M_SCALED_PREV)),
     Theorem.T5: _Entry(1, False, 0, _theorem5_report),
     Theorem.TERMWISE: _Entry(1, True, None, _termwise_report),
-    Theorem.CHAIN: _Entry(1, True, 0, lambda f: EquivalenceChainReport.build(
-        f.n, f.row.weighted_lcm, f.n * f.prev.lcm, f.range_lcm)),
+    Theorem.CHAIN: _Entry(1, True, 0, _chain_report),
 }
 _NAMES = {Theorem.CHAIN: "equivalence chain"}
 
@@ -372,26 +340,6 @@ def chain_range(first: int, last: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> 
 def verify_nair(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T1 at n: weighted-row fold against the range factorization."""
     return verify_range(Theorem.T1, n, n, caps=caps)[0]
-
-
-def verify_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
-    """T2 at n (n = 0 included): row fold against the exact quotient."""
-    return verify_range(Theorem.T2, n, n, caps=caps)[0]
-
-
-def verify_theorem3(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
-    """T3 at n: n times the previous row's lcm against lcm(1..n)."""
-    return verify_range(Theorem.T3, n, n, caps=caps)[0]
-
-
-def verify_theorem4(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
-    """T4 at n: the bridge; weighted row against n times the previous row."""
-    return verify_range(Theorem.T4, n, n, caps=caps)[0]
-
-
-def verify_theorem5(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
-    """T5 at n: half of the previous row suffices, by row symmetry."""
-    return verify_range(Theorem.T5, n, n, caps=caps)[0]
 
 
 def equivalence_chain(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> EquivalenceChainReport:

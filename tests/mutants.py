@@ -180,18 +180,19 @@ MUTANTS = [
         ("tests/test_identities.py::TestCarriedRangeLcm::test_theorem5_subcheck_catches_an_upper_half_entry",),
     ),
     Mutant(
-        "identity-report-make-dropped", "identities.py",
-        '    @classmethod\n    def _make(cls, iterable) -> "IdentityReport":\n'
-        "        # namedtuple's _make (and so _replace) would skip __new__'s check.\n"
-        "        return cls(*iterable)\n",
-        "",
-        ("tests/test_records.py::test_every_way_to_build_refuses_an_inconsistent_record",),
+        "identity-holds-always-true", "identities.py",
+        "        return self.lhs == self.rhs\n",
+        "        return True\n",
+        ("tests/test_records.py::test_identity_verdict_is_read_off_the_sides",
+         "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict",
+         "tests/test_cli.py::TestVerify::test_failing_report_exits_one"),
     ),
     Mutant(
-        "chain-report-make-dropped", "identities.py",
-        '    @classmethod\n    def _make(cls, iterable) -> "EquivalenceChainReport":\n        return cls(*iterable)\n',
-        "",
-        ("tests/test_records.py::test_every_way_to_build_refuses_an_inconsistent_record",),
+        "chain-all-equal-ignores-range", "identities.py",
+        "return self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs == self.q_range",
+        "return self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs",
+        ("tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities",
+         "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict"),
     ),
     Mutant(
         "resource-caps-make-dropped", "caps.py",

@@ -27,7 +27,6 @@ from binomlcm import (
     verify_range,
 )
 from binomlcm.engine import _fold_row_lcm, iter_binomial_rows
-from binomlcm.identities import verify_theorem4
 
 
 @contextmanager
@@ -189,4 +188,4 @@ def test_criterion_10_bench_attests_before_timing():
 def test_structural_note_t4_single_calls_match_sweep(t4_reports):
     # Batch and single-n construction go through the same builders.
     for n in (1, 17, 400, 1000):
-        assert verify_theorem4(n) == t4_reports[n - 1]
+        assert verify_range(Theorem.T4, n, n) == [t4_reports[n - 1]]

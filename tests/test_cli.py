@@ -191,7 +191,7 @@ class TestVerify:
         import binomlcm.cli as cli_mod
         from binomlcm import IdentityReport, Theorem
 
-        fake = [IdentityReport.build(Theorem.T1, 5, 2, 3, "a", "b")]
+        fake = [IdentityReport(Theorem.T1, 5, 2, 3, "a", "b")]
         monkeypatch.setattr(cli_mod, "verify_range", lambda *a, **k: fake)
         code, out, err = invoke(capsys, "verify", "--theorem", "1", "--from", "5", "--to", "5")
         assert code == 1
@@ -371,10 +371,10 @@ class TestUsageAndCaps:
 # (record, its CSV header, the flag ok stands for, expected ok); one failing
 # record of each type.
 PROTOCOL_CASES = [
-    (IdentityReport.build(Theorem.T1, 5, 60, 60, "a", "b"), IDENTITY_CSV_HEADER, "holds", True),
-    (IdentityReport.build(Theorem.T1, 5, 2, 3, "a", "b"), IDENTITY_CSV_HEADER, "holds", False),
-    (EquivalenceChainReport.build(9, 2520, 2520, 2520), IDENTITY_CSV_HEADER, "all_equal", True),
-    (EquivalenceChainReport.build(9, 2520, 2520, 2519), IDENTITY_CSV_HEADER, "all_equal", False),
+    (IdentityReport(Theorem.T1, 5, 60, 60, "a", "b"), IDENTITY_CSV_HEADER, "holds", True),
+    (IdentityReport(Theorem.T1, 5, 2, 3, "a", "b"), IDENTITY_CSV_HEADER, "holds", False),
+    (EquivalenceChainReport(9, 2520, 2520, 2520, 2520), IDENTITY_CSV_HEADER, "all_equal", True),
+    (EquivalenceChainReport(9, 2520, 2520, 2520, 2519), IDENTITY_CSV_HEADER, "all_equal", False),
     (check_bounds(10), BOUNDS_CSV_HEADER, "enforced_ok", True),
     (BoundsRecord(8, 3, True, False, True, 0.8), BOUNDS_CSV_HEADER, "enforced_ok", True),  # 2^n not required
     (BoundsRecord(10, 4, True, False, True, 0.8), BOUNDS_CSV_HEADER, "enforced_ok", False),

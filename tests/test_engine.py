@@ -75,6 +75,12 @@ class TestPrimePowerFactorization:
         with pytest.raises(DomainError):
             PrimePowerFactorization({2: -1})
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_exponents(self, flag):
+        # A bool is an int, but True would print as JSON true in to_pairs().
+        with pytest.raises(DomainError, match=rf"^exponent of 2 must be a natural, got {flag}$"):
+            PrimePowerFactorization({2: flag, 3: 2})
+
     def test_rejects_duplicates(self):
         with pytest.raises(DomainError):
             PrimePowerFactorization([(2, 1), (2, 2)])

@@ -19,12 +19,8 @@ from binomlcm import (
     equivalence_chain,
     row_lcm_naive,
     termwise_identity,
-    verify_farhi,
     verify_nair,
     verify_range,
-    verify_theorem3,
-    verify_theorem4,
-    verify_theorem5,
 )
 from binomlcm import InternalConsistencyError, ResourceCapError, ResourceCaps, engine, identities, lcm_range
 from binomlcm.cli import run
@@ -55,83 +51,83 @@ class TestNair:
 
 class TestFarhi:
     def test_n0(self):
-        rep = verify_farhi(0)
+        (rep,) = verify_range(Theorem.T2, 0, 0)
         assert rep.holds and rep.lhs == rep.rhs == 1
 
     def test_n4(self):
-        rep = verify_farhi(4)
+        (rep,) = verify_range(Theorem.T2, 4, 4)
         assert rep.holds and rep.lhs == rep.rhs == 12
 
     def test_n10_brute_forced_both_sides(self):
         assert brute_row_lcm(10) == brute_range_lcm(11) // 11
-        rep = verify_farhi(10)
+        (rep,) = verify_range(Theorem.T2, 10, 10)
         assert rep.holds and rep.lhs == brute_range_lcm(11) // 11
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            verify_farhi(-1)
+            verify_range(Theorem.T2, -1, -1)
 
 
 class TestTheorem3:
     def test_n1(self):
-        rep = verify_theorem3(1)
+        (rep,) = verify_range(Theorem.T3, 1, 1)
         assert rep.holds and rep.lhs == rep.rhs == 1
 
     def test_n5(self):
         assert 5 * fold_lcm([1, 4, 6, 4, 1]) == 60 == brute_range_lcm(5)
-        rep = verify_theorem3(5)
+        (rep,) = verify_range(Theorem.T3, 5, 5)
         assert rep.holds and rep.lhs == 60
 
     def test_n7(self):
         assert 7 * 60 == 420 == brute_range_lcm(7)
-        rep = verify_theorem3(7)
+        (rep,) = verify_range(Theorem.T3, 7, 7)
         assert rep.holds and rep.lhs == 420
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            verify_theorem3(0)
+            verify_range(Theorem.T3, 0, 0)
 
 
 class TestTheorem4:
     def test_n1(self):
-        rep = verify_theorem4(1)
+        (rep,) = verify_range(Theorem.T4, 1, 1)
         assert rep.holds and rep.lhs == rep.rhs == 1
 
     def test_n4(self):
-        rep = verify_theorem4(4)
+        (rep,) = verify_range(Theorem.T4, 4, 4)
         assert rep.holds
         assert rep.lhs == 12
         assert rep.rhs == 4 * fold_lcm([1, 3, 3, 1]) == 12
 
     def test_n6(self):
-        rep = verify_theorem4(6)
+        (rep,) = verify_range(Theorem.T4, 6, 6)
         assert rep.holds
         assert rep.lhs == 60
         assert rep.rhs == 6 * fold_lcm([1, 5, 10, 10, 5, 1]) == 60
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            verify_theorem4(0)
+            verify_range(Theorem.T4, 0, 0)
 
 
 class TestTheorem5:
     def test_n1(self):
-        rep = verify_theorem5(1)
+        (rep,) = verify_range(Theorem.T5, 1, 1)
         assert rep.holds and rep.lhs == rep.rhs == 1
 
     def test_n5(self):
         assert 5 * fold_lcm([1, 4, 6]) == 60
-        rep = verify_theorem5(5)
+        (rep,) = verify_range(Theorem.T5, 5, 5)
         assert rep.holds and rep.lhs == 60
 
     def test_n6(self):
         assert 6 * fold_lcm([1, 5, 10]) == 60
-        rep = verify_theorem5(6)
+        (rep,) = verify_range(Theorem.T5, 6, 6)
         assert rep.holds and rep.lhs == 60
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            verify_theorem5(0)
+            verify_range(Theorem.T5, 0, 0)
 
     def test_half_row_carries_full_row_lcm(self):
         for n in range(1, 81):
@@ -212,17 +208,11 @@ class TestVerifyRange:
             verify_range(Theorem.T1, 5, 4)
 
     def test_batch_equals_single_calls(self):
-        singles = {
-            Theorem.T1: verify_nair,
-            Theorem.T2: verify_farhi,
-            Theorem.T3: verify_theorem3,
-            Theorem.T4: verify_theorem4,
-            Theorem.T5: verify_theorem5,
-        }
-        for theorem, single in singles.items():
+        for theorem in [Theorem.T1, Theorem.T2, Theorem.T3, Theorem.T4, Theorem.T5]:
             start = 0 if theorem is Theorem.T2 else 1
             batch = verify_range(theorem, start, 30)
-            assert batch == [single(n) for n in range(start, 31)]
+            assert batch == [verify_range(theorem, n, n)[0] for n in range(start, 31)]
+        assert verify_range(Theorem.T1, 1, 30) == [verify_nair(n) for n in range(1, 31)]
 
     def test_termwise_range(self):
         reports = verify_range(Theorem.TERMWISE, 1, 40)
@@ -301,21 +291,6 @@ class TestSweep:
 
 
 class TestReportContracts:
-    def test_holds_is_recomputed_equality(self):
-        ok = IdentityReport.build(Theorem.T1, 3, 6, 6, "a", "b")
-        bad = IdentityReport.build(Theorem.T1, 3, 6, 7, "a", "b")
-        assert ok.holds and not bad.holds
-
-    def test_inconsistent_holds_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            IdentityReport(Theorem.T1, 3, 6, 7, True, "a", "b")
-
-    def test_inconsistent_all_equal_rejected_at_construction(self):
-        from binomlcm import EquivalenceChainReport
-
-        with pytest.raises(ValueError):
-            EquivalenceChainReport(2, 2, 2, 2, 3, True)
-
     def test_json_schema(self):
         doc = verify_nair(4).to_json_dict()
         assert doc == {
@@ -339,7 +314,7 @@ class TestReportContracts:
         # T4 shares its lhs with T1 and its rhs with T3, by code path;
         # numerically visible as exact field equality.
         for n in range(1, 61):
-            t1, t3, t4 = verify_nair(n), verify_theorem3(n), verify_theorem4(n)
+            t1, t3, t4 = verify_range([Theorem.T1, Theorem.T3, Theorem.T4], n, n)
             assert t4.lhs == t1.lhs
             assert t4.lhs_method == t1.lhs_method
             assert t4.rhs == t3.lhs
