@@ -27,9 +27,7 @@ from .digits import decimal_digits
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 
-__all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods", "BENCH_CSV_HEADER"]
-
-BENCH_CSV_HEADER = ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
+__all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods"]
 
 
 class Task(Enum):
@@ -58,28 +56,13 @@ class BenchRecord(NamedTuple):
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task.value,
-            "method": self.method,
-            "n": self.n,
-            "reps": self.reps,
-            "median_ns": self.median_ns,
-            "p90_ns": self.p90_ns,
-            "digits": self.digits,
-            "verified": self.verified,
-        }
+        return {**self._asdict(), "task": self.task.value}
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.task.value,
-            self.method,
-            str(self.n),
-            str(self.reps),
-            str(self.median_ns),
-            str(self.p90_ns),
-            str(self.digits),
-            "true" if self.verified else "false",
-        ]
+        return [str(v).lower() if isinstance(v, bool) else str(v) for v in self.to_json_dict().values()]
+
+
+BENCH_CSV_HEADER = list(BenchRecord._fields)
 
 
 def _fold_range(n: int, caps: ResourceCaps) -> int:

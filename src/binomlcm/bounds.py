@@ -35,7 +35,7 @@ from .errors import DomainError
 # Not used here: perfbench/layer_trace.py still times the prime-power table under this old name.
 _smallest_prime_factors = prime_power_bases
 
-__all__ = ["BoundsRecord", "check_bounds", "iter_psi_table", "psi_table", "BOUNDS_CSV_HEADER", "BOUNDS_PLAIN_HEADER"]
+__all__ = ["BoundsRecord", "check_bounds", "iter_psi_table", "psi_table"]
 
 BOUNDS_CSV_HEADER = ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "psi_over_n"]
 BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {'3^n':>6} {'psi_over_n':>16}"

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 from .errors import ResourceCapError
 
+__all__ = ["DEFAULT_CAPS", "ResourceCaps"]
+
 
 class CapField(NamedTuple):
     name: str

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+__all__ = ["decimal_digits", "decimal_str"]
+
 # A lower bound on log10(2) = 0.30102999566398119521373...
 _LOG10_2_NUM = 30102999566398119521
 _LOG10_2_DEN = 10**20

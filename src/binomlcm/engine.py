@@ -48,16 +48,13 @@ from typing import Iterable, Iterator, Mapping
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import bracket_digit_count, bracket_product, decimal_digits
 from .errors import DomainError, InternalConsistencyError
-from .valuation import Prime, _row_exponents
+from .valuation import Prime, _as_prime, _row_exponents
 
 __all__ = [
     "PrimePowerFactorization",
     "BinomialRow",
     "sieve_primes",
     "lcm_range",
-    "prime_power_bases",
-    "iter_range_lcms",
-    "row_quotient",
     "lcm_sequence",
     "binomial_row",
     "iter_binomial_rows",
@@ -98,14 +95,13 @@ class PrimePowerFactorization:
         items = factors.items() if isinstance(factors, Mapping) else factors
         seen: dict[Prime, int] = {}
         for p, e in items:
-            p = p if isinstance(p, Prime) else Prime(p)
+            p = _as_prime(p)
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise DomainError(f"exponent of {int(p)} must be a natural, got {e!r}")
             if p in seen:
                 raise DomainError(f"duplicate prime {int(p)}")
-            if e > 0:
-                seen[p] = e
-        self._primes = tuple(sorted(seen))
+            seen[p] = e
+        self._primes = tuple(p for p in sorted(seen) if seen[p])
         self._exps = tuple(map(seen.__getitem__, self._primes))
 
     @classmethod
@@ -188,11 +184,14 @@ class BinomialRow:
     skips every later entry equal to its mirror among those, so a Pascal
     row is folded once, in row order, and each of its values once.
     Equality, hash and repr read only n and entries, which cannot be
-    reassigned. entries must have n + 1 items, or the folds would answer
-    for some other row.
+    reassigned; entries is held as a tuple (any other iterable is copied
+    into one), so a caller's list cannot change it under the cached folds.
+    entries must have n + 1 items, or the folds would answer for some
+    other row.
     """
 
-    def __init__(self, n: int, entries: tuple[int, ...]):
+    def __init__(self, n: int, entries: Iterable[int]):
+        entries = tuple(entries)
         if len(entries) != n + 1:
             raise DomainError(f"row {n} needs {n + 1} entries, got {len(entries)}")
         object.__setattr__(self, "n", n)

@@ -7,6 +7,8 @@ and internal-consistency failures indicate a bug in this library itself
 cannot).
 """
 
+__all__ = ["DomainError", "ResourceCapError", "InternalConsistencyError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""

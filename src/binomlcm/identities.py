@@ -61,7 +61,7 @@ from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
     "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "termwise_identity", "equivalence_chain",
-    "verify_range", "chain_range", "IDENTITY_CSV_HEADER",
+    "verify_range", "chain_range",
 ]
 
 # The CSV columns of both report types; a chain report fills them too.

@@ -195,6 +195,24 @@ MUTANTS = [
          "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict"),
     ),
     Mutant(
+        "factorization-duplicates-only-above-zero", "engine.py",
+        "            seen[p] = e\n",
+        "            if e > 0:\n                seen[p] = e\n",
+        ("tests/test_engine.py::TestPrimePowerFactorization::test_rejects_duplicates",),
+    ),
+    Mutant(
+        "row-keeps-entries-as-given", "engine.py",
+        "        entries = tuple(entries)\n",
+        "",
+        ("tests/test_engine.py::TestBinomialRow::test_a_list_of_entries_is_copied_into_a_tuple",),
+    ),
+    Mutant(
+        "package-all-skips-a-module", "__init__.py",
+        "for m in (bounds, caps,",
+        "for m in (caps,",
+        ("tests/test_import_path.py::test_the_package_surface_is_the_union_of_the_modules_surfaces",),
+    ),
+    Mutant(
         "resource-caps-make-dropped", "caps.py",
         '    @classmethod\n    def _make(cls, iterable) -> "ResourceCaps":\n'
         "        # namedtuple's _make (and so _replace) would skip __new__'s check.\n"

@@ -81,9 +81,11 @@ class TestPrimePowerFactorization:
         with pytest.raises(DomainError, match=rf"^exponent of 2 must be a natural, got {flag}$"):
             PrimePowerFactorization({2: flag, 3: 2})
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(DomainError):
-            PrimePowerFactorization([(2, 1), (2, 2)])
+    # A zero exponent is dropped from the result, not from the duplicate check.
+    @pytest.mark.parametrize("pairs", [[(2, 1), (2, 2)], [(2, 0), (2, 1)], [(2, 1), (2, 0)], [(3, 1), (2, 0), (2, 0)]])
+    def test_rejects_duplicates(self, pairs):
+        with pytest.raises(DomainError, match=r"^duplicate prime 2$"):
+            PrimePowerFactorization(pairs)
 
     def test_empty_expands_to_one(self):
         assert PrimePowerFactorization().expand() == 1
@@ -377,6 +379,16 @@ class TestBinomialRow:
             with pytest.raises(AttributeError):
                 setattr(row, name, value)
         assert (row.n, row.entries, row.lcm) == (4, (1, 4, 6, 4, 1), 12)
+
+    def test_a_list_of_entries_is_copied_into_a_tuple(self):
+        entries = [1, 2, 1]
+        row = BinomialRow(2, entries)
+        assert row.entries == (1, 2, 1) and hash(row) == hash(binomial_row(2)) and row == binomial_row(2)
+        entries[1] = 99
+        assert row.entries == (1, 2, 1) and (row.half_lcm, row.lcm) == (2, 2)
+        # A tuple is held as given: the sweep's rows pay for no copy.
+        pascal = (1, 3, 3, 1)
+        assert BinomialRow(3, pascal).entries is pascal
 
     @pytest.mark.parametrize(
         "n, entries", [(5, (1, 4, 6, 4, 1)), (0, (1, 2, 3)), (3, (1, 3, 3, 1, 1)), (2, ())]

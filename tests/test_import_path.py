@@ -11,8 +11,10 @@ sys.modules.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +102,31 @@ def test_bench_loads_only_when_its_names_are_used(report):
     # The bench names still resolve on the package, and under a star import.
     assert report["bench_record"] == "binomlcm.bench" and report["bench_after"]
     assert report["star_missing"] == []
+
+
+def _public_modules() -> dict[str, object]:
+    # Every binomlcm module that states a share of the public surface.
+    modules = {
+        info.name: importlib.import_module(f"binomlcm.{info.name}") for info in pkgutil.iter_modules(binomlcm.__path__)
+    }
+    return {name: module for name, module in modules.items() if hasattr(module, "__all__")}
+
+
+def test_the_package_surface_is_the_union_of_the_modules_surfaces():
+    modules = _public_modules()
+    assert set(modules) == {"bench", "bounds", "caps", "digits", "engine", "errors", "identities", "valuation"}
+    shares = [name for module in modules.values() for name in module.__all__]
+    assert len(shares) == len(set(shares)), "a public name is stated by two modules"
+    assert binomlcm.__all__ == sorted(shares)
+
+
+def test_each_package_name_is_its_modules_object():
+    for mod_name, module in _public_modules().items():
+        for name in module.__all__:
+            assert getattr(binomlcm, name) is getattr(module, name), f"{mod_name}.{name}"
+
+
+def test_the_lazy_bench_names_are_bench_all():
+    from binomlcm import bench
+
+    assert set(bench.__all__) == binomlcm._BENCH_NAMES
