@@ -16,7 +16,8 @@ that scale very differently:
                 have; returns a factorization and never touches
                 row-sized integers. The borrow rule that gives each
                 exponent lives in valuation (_row_exponents); above
-                isqrt(n) it is one digit test per prime.
+                isqrt(n) it keeps the primes as one slice, less the
+                one, if any, that divides n+1.
 
 Range lcms likewise come in two routes: a gcd fold over 1..n (oracle)
 and the prime-power factorization lcm(1..n) = prod p^max{e : p^e <= n}.
@@ -24,13 +25,14 @@ A sweep over consecutive n carries the second incrementally instead:
 lcm(1..m) = lcm(1..m-1) * p when m = p^a is a prime power, and
 lcm(1..m-1) otherwise (iter_range_lcms).
 
-Primes come from one bytearray sieve, _primes_upto, read out as plain
-ints: lcm_range, prime_power_bases and row_lcm_valuation read it
-directly, and sieve_primes wraps its output as Prime for the API.
-A PrimePowerFactorization holds two parallel tuples, its primes and
-their exponents, with no (p, e) pair or dict per prime: lcm_range fills
-them from the sieve's list itself, and row_lcm_valuation from the two
-lists _row_exponents returns. Its items() is a one-pass iterator.
+Primes come from one bytearray sieve, _primes_upto, read out into one
+array('I'), four bytes per prime and no int object: lcm_range,
+prime_power_bases and row_lcm_valuation read it directly, and
+sieve_primes wraps its output as Prime for the API. A
+PrimePowerFactorization holds its primes in one array('I') and their
+exponents in a parallel tuple, with no (p, e) pair or dict per prime:
+lcm_range adopts the sieve's array itself, and row_lcm_valuation the
+array _row_exponents returns. Its items() is a one-pass iterator.
 
 All values are exact; nothing in this module goes through floats.
 """
@@ -38,6 +40,7 @@ All values are exact; nothing in this module goes through floats.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
@@ -79,14 +82,17 @@ def _product(values: list[int]) -> int:
 class PrimePowerFactorization:
     """A canonical product of prime powers, prod p^e with e >= 1.
 
-    Stored as two parallel tuples, the primes in strictly increasing
-    order and their exponents, with no pair or dict per prime; a lookup
-    bisects the primes. Zero exponents are never stored, so expand() is
-    injective: two distinct factorizations always expand to distinct
-    integers. items() is a one-pass iterator of (p, e) pairs. The
-    constructor validates each key as a Prime; lcm_range and
-    row_lcm_valuation build through _trusted with plain-int primes from
-    _primes_upto.
+    Stored as the primes in strictly increasing order, packed in one
+    array('I') (every Prime is below 2**32), and their exponents in a
+    parallel tuple (an exponent is unbounded), with no pair or dict per
+    prime; a lookup bisects the primes. Zero exponents are never stored,
+    so expand() is injective: two distinct factorizations always expand
+    to distinct integers. Both builds store the same layout, so equality
+    and hash never compare two kinds of container. items() is a one-pass
+    iterator of (p, e) pairs of ints; iteration yields each prime as a
+    Prime. The constructor validates each key as a Prime; lcm_range and
+    row_lcm_valuation build through _trusted, handing over the array
+    from _primes_upto or _row_exponents, which no method hands out.
     """
 
     __slots__ = ("_primes", "_exps")
@@ -101,17 +107,17 @@ class PrimePowerFactorization:
             if p in seen:
                 raise DomainError(f"duplicate prime {int(p)}")
             seen[p] = e
-        self._primes = tuple(p for p in sorted(seen) if seen[p])
-        self._exps = tuple(map(seen.__getitem__, self._primes))
+        kept = [p for p in sorted(seen) if seen[p]]
+        self._primes = array("I", kept)
+        self._exps = tuple(map(seen.__getitem__, kept))
 
     @classmethod
     def _trusted(cls, primes: Iterable[int], exps: Iterable[int]) -> "PrimePowerFactorization":
         # Internal fast path: primes increasing, exps >= 1, one per prime.
-        # lcm_range and row_lcm_valuation pass plain-int primes: a Prime
-        # hashes and compares as its int, and repr and to_pairs call
-        # int(p), so nothing outside can tell.
+        # An array('I') of primes is adopted, not copied: lcm_range and
+        # row_lcm_valuation hand over one that nothing else holds.
         obj = object.__new__(cls)
-        obj._primes = tuple(primes)
+        obj._primes = primes if isinstance(primes, array) else array("I", primes)
         obj._exps = tuple(exps)
         return obj
 
@@ -133,8 +139,8 @@ class PrimePowerFactorization:
     def __contains__(self, p: int) -> bool:
         return self.get(p, None) is not None
 
-    def __iter__(self):
-        return iter(self._primes)
+    def __iter__(self) -> Iterator[Prime]:
+        return map(Prime._trusted, self._primes)
 
     def __len__(self) -> int:
         return len(self._primes)
@@ -241,16 +247,17 @@ class BinomialRow:
         return iter(self.entries)
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """All primes <= limit as plain ints, increasing. Empty for limit < 2.
+def _primes_upto(limit: int) -> array:
+    """All primes <= limit in one array('I'), increasing. Empty for limit < 2.
 
     A bytearray sieve over the odd numbers only (flags[i] stands for
-    2i + 1), read out by compress: reading out costs one int per
-    candidate, so skipping the evens halves it. No domain or cap check:
-    callers make those first.
+    2i + 1), read out by compress straight into the array: reading out
+    costs one transient int per candidate, so skipping the evens halves
+    it, and the array keeps four bytes per prime. No domain or cap
+    check: callers make those first.
     """
     if limit < 2:
-        return []
+        return array("I")
     flags = bytearray([1]) * ((limit + 1) // 2)
     flags[0] = 0  # 1 is not prime
     for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
@@ -258,7 +265,9 @@ def _primes_upto(limit: int) -> list[int]:
             p = 2 * i + 1
             start = p * p // 2  # the index of p^2; its odd multiples are p apart
             flags[start::p] = bytes(len(range(start, len(flags), p)))
-    return [2, *compress(range(1, limit + 1, 2), flags)]
+    primes = array("I", [2])
+    primes.extend(compress(range(1, limit + 1, 2), flags))
+    return primes
 
 
 def sieve_primes(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[Prime]:
@@ -450,10 +459,11 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     The exponent of p is the largest v_p(C(n,k)) over 0 <= k <= n, the
     most borrows any base-p subtraction n - k can make. That borrow rule
     lives in valuation: _row_exponents finds each exponent from the
-    digits of n without enumerating k, and above isqrt(n) calls no
-    function per prime. The primes are plain ints from _primes_upto, so
-    no Prime is made. Scales to the default valuation cap of n = 10^6,
-    far past where row materialization stops being feasible.
+    digits of n without enumerating k, and above isqrt(n) tests no
+    prime: it drops at most one from the sieve's array and keeps the
+    rest as one slice, so no Prime or int is kept per prime. Scales to
+    the default valuation cap of n = 10^6, far past where row
+    materialization stops being feasible.
     """
     if n < 0:
         raise DomainError("row_lcm_valuation requires n >= 0")

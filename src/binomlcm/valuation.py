@@ -14,7 +14,12 @@ makes. Both shapes of that rule live here: the digit DP
 (max_binomial_valuation, _max_borrows) and, for a whole row at once,
 _row_exponents, which runs the DP up to isqrt(n) and its two-digit
 unrolling above it; engine.row_lcm_valuation reads its exponents from
-there.
+there. Above isqrt(n) the two-digit form gives exponent 1 to every
+prime but those dividing n + 1, and at most one prime q above isqrt(n)
+divides it (two such primes multiply to more than n + 1), or q^2 does
+when n + 1 = q^2. So _row_exponents finds q from the cofactor of n + 1
+left by the primes up to isqrt(n), and keeps every other prime above
+isqrt(n) as one slice of the sieve's array, with no test per prime.
 
 Everything here is exact integer arithmetic. Base-p digits come from
 repeated integer division; floating-point logarithms misround near
@@ -24,9 +29,11 @@ prime-power boundaries and are banned from this module.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from math import isqrt
+from typing import Sequence
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -194,21 +201,39 @@ def _max_borrows(n: int, p: int) -> int:
     return f0
 
 
-def _row_exponents(n: int, primes: list[int]) -> tuple[list[int], list[int]]:
-    # (kept, exps): each p in primes (trusted, increasing, all <= n) whose
-    # max borrow count e of n - k in base p is >= 1, and that e, in two
-    # parallel lists: the factorization of lcm(C(n,0..n)), with no pair
-    # per prime. Below the split the DP runs as is.
+def _row_exponents(n: int, primes: Sequence[int]) -> tuple[Sequence[int], tuple[int, ...]]:
+    # (kept, exps): each p in primes whose max borrow count e of n - k in
+    # base p is >= 1, and that e, in a slice of primes (the sieve's
+    # array('I')) and a parallel tuple: the factorization of
+    # lcm(C(n,0..n)), with no pair per prime. primes is increasing and
+    # holds every prime <= n; a test may leave out some above isqrt(n),
+    # but not the largest, and the result then leaves them out too.
+    # Below the split the DP runs as is, and n + 1 sheds those primes.
     split = bisect_right(primes, isqrt(n))
-    kept = []
+    low = array("I")
     exps = []
+    m = n + 1  # the cofactor of n + 1 prime to every p <= isqrt(n)
     for p in primes[:split]:
+        while m % p == 0:
+            m //= p
         if e := _max_borrows(n, p):
-            kept.append(p)
+            low.append(p)
             exps.append(e)
     # p > isqrt(n): n = d1*p + d0 with 1 <= d1 < p. Below the top digit d1
     # the DP starts at (f0, f1) = (0, 0); the low digit d0 then gives
-    # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0.
-    kept += [p for p in primes[split:] if n % p != p - 1]
-    exps += repeat(1, len(kept) - len(exps))
-    return kept, exps
+    # f0 = max(f0, 1 + f1) = 1 if d0 <= p - 2, else 0. So e = 1 unless
+    # d0 = p - 1, that is unless p divides n + 1. Two primes above isqrt(n)
+    # multiply to more than n + 1, so at most one of them, q, divides it:
+    # the cofactor m is 1, q, or q^2 when n + 1 = q^2 (n = 3, 8, 24, ...).
+    # m = n + 1 prime is above every prime here, and is not dropped.
+    high = primes[split:]
+    q = isqrt(m)
+    if q * q != m:
+        q = m
+    if 1 < q <= n:
+        i = bisect_left(high, q)
+        if high[i] == q:  # else a test left q out
+            del high[i]
+    ones = len(high)
+    high[:0] = low
+    return high, (*exps, *repeat(1, ones))

@@ -107,16 +107,31 @@ MUTANTS = [
         ("tests/test_valuation.py::TestMaxBinomialValuation::test_matches_enumeration_definition",),
     ),
     Mutant(
+        # Drops the primes above isqrt(n) whose low digit is p - 2, not p - 1.
         "two-digit-rule-low-digit", "valuation.py",
-        "kept += [p for p in primes[split:] if n % p != p - 1]",
-        "kept += [p for p in primes[split:] if n % p != p - 2]",
+        "    m = n + 1  #",
+        "    m = n + 2  #",
         ("tests/test_valuation.py::test_two_digit_form_matches_kummer_enumeration",),
     ),
     Mutant(
         "row-large-prime-exponent-one-short", "valuation.py",
-        "exps += repeat(1, len(kept) - len(exps))",
-        "exps += repeat(1, len(kept) - len(exps) - 1)",
+        "(*exps, *repeat(1, ones))",
+        "(*exps, *repeat(1, ones - 1))",
         ("tests/test_engine.py::TestValuationRoute::test_isqrt_boundary_full_sieve",),
+    ),
+    Mutant(
+        # Keeps q when n + 1 = q^2, as at n = 3.
+        "row-square-cofactor-kept", "valuation.py",
+        "    q = isqrt(m)\n    if q * q != m:\n        q = m\n",
+        "    q = m\n",
+        ("tests/test_valuation.py::test_row_exponents_edge_cases[square-q2]",),
+    ),
+    Mutant(
+        # Looks n + 1 up among the primes <= n when it is prime itself.
+        "row-prime-cofactor-unguarded", "valuation.py",
+        "if 1 < q <= n:",
+        "if 1 < q:",
+        ("tests/test_valuation.py::test_row_exponents_edge_cases[prime-n1]",),
     ),
     Mutant(
         "range-large-prime-exponent-one-short", "engine.py",
@@ -131,6 +146,13 @@ MUTANTS = [
         ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
     ),
     Mutant(
+        # A validated build that stores a tuple never equals a _trusted one.
+        "validated-primes-in-a-tuple", "engine.py",
+        'self._primes = array("I", kept)',
+        "self._primes = tuple(kept)",
+        ("tests/test_engine.py::TestValuationRoute::test_plain_int_keys_do_not_show",),
+    ),
+    Mutant(
         "factorization-eq-primes-only", "engine.py",
         "return self._primes == other._primes and self._exps == other._exps",
         "return self._primes == other._primes",
@@ -139,8 +161,8 @@ MUTANTS = [
     Mutant(
         # Puts p = isqrt(n) above the split at n = p^2, where n has three digits.
         "row-split-bisect-left", "valuation.py",
-        "from bisect import bisect_right\n",
-        "from bisect import bisect_left as bisect_right\n",
+        "split = bisect_right(primes, isqrt(n))",
+        "split = bisect_left(primes, isqrt(n))",
         ("tests/test_engine.py::TestValuationRoute::test_isqrt_boundary_full_sieve",),
     ),
     Mutant(

@@ -56,7 +56,7 @@ class TestSieve:
     def test_plain_int_sieve_matches_trial_division(self):
         primes = [v for v in range(2001) if trial_is_prime(v)]
         for limit in range(0, 2001):
-            out = _primes_upto(limit)
+            out = list(_primes_upto(limit))
             assert out == [p for p in primes if p <= limit], limit
             assert all(type(p) is int for p in out)
 
@@ -121,7 +121,9 @@ class TestPrimePowerFactorization:
         assert f.log_value() == pytest.approx(math.log(f.expand()), rel=1e-12)
 
 
-_SOME_PRIMES = _primes_upto(1000) + [65_521, 2**31 - 1]
+# 4294967291 is the largest prime below 2**32: a typecode too narrow to
+# hold every Prime fails on it.
+_SOME_PRIMES = [*_primes_upto(1000), 65_521, 2**31 - 1, 4_294_967_291]
 
 
 @st.composite
@@ -144,7 +146,7 @@ def _digits_oracle(x: int) -> int:
 
 
 class TestFactorizationAgainstDict:
-    """The parallel-tuple factorization, validated and _trusted builds, against a dict oracle."""
+    """The packed factorization, validated and _trusted builds, against a dict oracle."""
 
     @given(_factor_dicts())
     @settings(deadline=None, max_examples=150)
@@ -508,10 +510,11 @@ def _traced_peak_bytes(fn) -> int:
 @pytest.mark.parametrize("route", [row_lcm_valuation, lcm_range], ids=["valuation", "range"])
 def test_factorization_routes_hold_no_pair_per_prime(route):
     # At n = 3*10^5 the sieve gives about 26,000 primes. A (p, e) tuple per
-    # prime, or a dict built from them, peaked at 4.4-4.5 MB; two flat
-    # tuples next to the sieve's list stay near 1.7 MB.
+    # prime, or a dict built from them, peaked at 4.4-4.5 MB, and two flat
+    # tuples next to the sieve's list of ints near 1.7 MB; the primes packed
+    # in one array('I') beside a tuple of exponents stay near 0.5 MB.
     peak = _traced_peak_bytes(lambda: route(300_000).digit_count())
-    assert peak < 2.5e6, f"{route.__name__}(300000).digit_count() peaked at {peak / 1e6:.2f} MB"
+    assert peak < 0.9e6, f"{route.__name__}(300000).digit_count() peaked at {peak / 1e6:.2f} MB"
 
 
 class TestWeightedRowLcm:

@@ -507,4 +507,6 @@ def test_each_prime_route_runs_the_plain_int_sieve_once(monkeypatch, route, arg,
         result = list(result)  # the sweep, and so its sieve, runs as records are read
     assert (sieves, passes) == ([], [(limit,)])
     if isinstance(result, binomlcm.PrimePowerFactorization):
-        assert all(type(p) is int for p in result)
+        # Iteration makes each prime a Prime on the way out; the pairs
+        # read the packed primes as they are.
+        assert all(type(p) is int for p, _ in result.items())

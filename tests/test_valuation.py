@@ -1,6 +1,10 @@
 """Valuation module: Legendre, carry counting, and their agreement."""
 
 import math
+from array import array
+from bisect import bisect_right
+from collections import Counter
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,8 @@ from binomlcm import (
     row_lcm_valuation,
     sieve_primes,
 )
+from binomlcm.engine import _primes_upto
+from binomlcm.valuation import _max_borrows, _row_exponents
 from helpers import trial_is_prime, vp_by_division
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -197,3 +203,83 @@ def test_sieve_output_is_prime_typed_and_correct():
     primes = sieve_primes(200)
     assert all(isinstance(p, Prime) for p in primes)
     assert [int(p) for p in primes] == [v for v in range(201) if trial_is_prime(v)]
+
+
+# --- _row_exponents: the DP below isqrt(n), one slice above it ---------------
+
+
+def _assert_row_exponents_match_the_dp(n):
+    # Every sieved prime through the DP, zero exponents dropped; the sieve's
+    # array goes in and comes back unchanged, and the kept primes come out
+    # as an array('I') beside a tuple of exponents.
+    primes = _primes_upto(n)
+    kept, exps = _row_exponents(n, primes)
+    assert primes == _primes_upto(n)
+    assert type(kept) is array and kept.typecode == "I" and type(exps) is tuple
+    assert len(kept) == len(exps)
+    assert list(zip(kept, exps)) == [(p, e) for p in primes if (e := _max_borrows(n, p))], n
+
+
+def test_row_exponents_match_the_dp_for_every_n_below_3000():
+    for n in range(3_000):
+        _assert_row_exponents_match_the_dp(n)
+
+
+# small-n: n = 0..3. square-q: n + 1 = q^2, so q > isqrt(n) divides n + 1
+# twice and is dropped. prime-n: n + 1 is prime, above every sieved prime,
+# and nothing is dropped. twice-q: n + 1 = 2q, and q = (n + 1)/2 is dropped.
+@pytest.mark.parametrize(
+    "n",
+    [
+        *(pytest.param(n, id=f"small-n{n}") for n in range(4)),
+        *(pytest.param(q * q - 1, id=f"square-q{q}") for q in (2, 3, 5, 7, 11, 139, 997)),
+        *(pytest.param(n, id=f"prime-n{n}") for n in (1, 2, 4, 6, 10, 19_996, 999_982)),
+        *(pytest.param(2 * q - 1, id=f"twice-q{q}") for q in (3, 5, 7, 9_521, 499_979)),
+    ],
+)
+def test_row_exponents_edge_cases(n):
+    _assert_row_exponents_match_the_dp(n)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(deadline=None, max_examples=20)
+def test_row_exponents_match_the_dp_up_to_a_million(n):
+    _assert_row_exponents_match_the_dp(n)
+
+
+def test_row_exponents_follow_farhi_for_every_n_below_20000():
+    # Farhi: lcm(C(n,0..n)) = lcm(1..n+1) / (n+1), so the exponent of p is
+    # max{a : p^a <= n+1} - v_p(n+1). Above isqrt(n+1) that is 1, or 0 for
+    # a p that divides n+1, found from a table of smallest prime factors.
+    # The DP pass above stops at 3,000: through 20,000 it takes 24 million
+    # calls.
+    limit = 20_000
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                spf[m] = min(spf[m], p)
+    primes = _primes_upto(limit)
+    for n in range(limit):
+        upto = primes[: bisect_right(primes, n)]
+        divides = Counter()
+        m = n + 1
+        while m > 1:
+            divides[spf[m]] += 1
+            m //= spf[m]
+        root = math.isqrt(n + 1)
+        split = bisect_right(upto, root)
+        low = []
+        for p in upto[:split]:
+            a = 1
+            while p ** (a + 1) <= n + 1:
+                a += 1
+            if e := a - divides[p]:
+                low.append((p, e))
+        high = upto[split:]
+        for p in divides:
+            if root < p <= n:
+                high.remove(p)
+        kept, exps = _row_exponents(n, upto)
+        assert kept == array("I", [p for p, _ in low]) + high, n
+        assert exps == (*(e for _, e in low), *repeat(1, len(high))), n
