@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import advance_digit_count, decimal_digits
+from .digits import decimal_digits
 from .engine import _range_exponent, lcm_range, prime_power_bases
 from .errors import DomainError
 
@@ -161,10 +161,10 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
     engine.prime_power_bases plus at most one small multiplication, and the
     factors gained between two samples reach the running lcm in one
     multiplication. Everything else a record needs is kept the same way,
-    so a sample costs constant work beyond that multiplication:
+    so a sample costs little beyond that multiplication:
 
-    * the bit length and the digit count, the latter against a running
-      next power of ten;
+    * the bit length, and the digit count, which digits.decimal_digits
+      takes from the bit length or the top bits of the running lcm;
     * psi, the sum of the float terms e*ln(p), held exactly as an integer
       in units of 2**-1074 (every finite double is a whole number of
       them); one correctly rounded division gives the same float as
@@ -195,7 +195,6 @@ def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
     gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
     bits = 1  # running.bit_length()
     digits = 1
-    next_ten = 10  # 10**digits, the smallest power of ten above running
     psi = 0.0  # psi_units as a float
     for n in range(1, max_n + 1):
         p = bases[n]
@@ -209,6 +208,6 @@ def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
                 running *= gained
                 gained = 1
                 bits = running.bit_length()
-                digits, next_ten = advance_digit_count(running, digits, next_ten)
+                digits = decimal_digits(running)
                 psi = psi_units / _UNITS_PER_ONE
             yield _record(n, running, bits, digits, psi)

@@ -5,20 +5,23 @@ Everything here is pure: nothing reads or changes process-wide state
 such as CPython's int -> str digit limit, and the Decimal route sets
 its precision in a local copy of the thread's decimal context.
 
-* Digit counts render nothing, and build the power of ten they compare
-  against only in an exact fallback. A value is held in an integer bracket
+* Digit counts render nothing. decimal_digits() takes three stages, each
+  only when the one before cannot decide. (1) Bit length: rational bounds
+  below and above log10(2) show whether [2**(b-1), 2**b) holds a power of
+  ten; about 70% of bit lengths hold none, and then every b-bit value has
+  one count. (2) Bracket: the value is held in an integer bracket
   lo * 2**k <= x <= hi * 2**k, with lo cut to _BRACKET_BITS bits (lo
-  rounded down, hi up), and so is 10**d = 5**d * 2**d. Starting from a
-  lower bound on the count taken from the bit length, exact integer
-  comparisons of the two brackets step d up until x < 10**d is certain.
-  decimal_digits() brackets an int by its top bits; bracket_product()
-  brackets a product of prime powers streamed pair by pair, so a
-  factorization is counted without being multiplied out. When the
-  brackets overlap, only possible when x lies within about 2**-110 of a
-  power of ten (10**j itself, say), bracket_digit_count() returns None
-  and the caller counts the exact integer instead.
-* advance_digit_count() carries an exact (d, 10**d) pair along a
-  growing value, for a running count such as bounds.psi_table's.
+  rounded down, hi up), and so is 10**d = 5**d * 2**d; from a lower bound
+  on the count taken from the bit length, exact integer comparisons of
+  the two brackets step d up until x < 10**d is certain. decimal_digits()
+  brackets an int by its top bits; bracket_product() brackets a product
+  of prime powers streamed pair by pair, so a factorization is counted
+  without being multiplied out. (3) Exact: the brackets overlap only
+  when x lies within about 2**-110 of a power of ten (10**j itself, say);
+  bracket_digit_count() then returns None, and decimal_digits() compares
+  x once with the one power of ten its bit length left in doubt, built
+  there and nowhere else. A factorization's caller counts the expanded
+  value instead.
 * decimal_str() renders with plain str() below _STR_MAX_BITS, where
   every allowed digit limit admits the value. Above it, a divide-and-
   conquer conversion to decimal.Decimal lets libmpdec do the large
@@ -33,8 +36,9 @@ from typing import Iterable
 
 __all__ = ["decimal_digits", "decimal_str"]
 
-# A lower bound on log10(2) = 0.30102999566398119521373...
+# log10(2) = 0.30102999566398119521373... lies between NUM / DEN and HI / DEN.
 _LOG10_2_NUM = 30102999566398119521
+_LOG10_2_HI = 30102999566398119522
 _LOG10_2_DEN = 10**20
 
 # At most 603 digits: below CPython's smallest settable digit limit (640),
@@ -53,10 +57,22 @@ _BRACKET_BITS = 128
 def decimal_digits(x: int) -> int:
     """Exact decimal digit count of ``abs(x)``; 1 for 0."""
     x = abs(x) or 1
-    cut = max(x.bit_length() - _BRACKET_BITS, 0)
+    bits = x.bit_length()
+    digits = _digits_at_least(bits)
+    # The count is at most floor(bits * log10(2)) + 1; when that equals
+    # the lower bound, [2**(bits-1), 2**bits) holds no power of ten.
+    if bits * _LOG10_2_HI // _LOG10_2_DEN < digits:
+        return digits
+    cut = max(bits - _BRACKET_BITS, 0)
     top = x >> cut
-    digits = bracket_digit_count(top, top + 1 if cut else top, cut)
-    return advance_digit_count(x, 1, 10)[0] if digits is None else digits
+    counted = bracket_digit_count(top, top + 1 if cut else top, cut)
+    return _exact_digit_count(x, digits) if counted is None else counted
+
+
+def _exact_digit_count(x: int, digits: int) -> int:
+    # Only where the bit length left two counts, digits and digits + 1: its bounds
+    # floor two reals under 0.31 + bits * 10**-20 apart, less than 1 for any int in memory.
+    return digits + (x >= 10**digits)
 
 
 def _trim(lo: int, hi: int, k: int) -> tuple[int, int, int]:
@@ -124,23 +140,6 @@ def bracket_digit_count(lo: int, hi: int, k: int) -> int | None:
         ten_lo, ten_hi, ten_k = _trim(ten_lo * 10, ten_hi * 10, ten_k)
     # x < 10**digits, unless the brackets overlap.
     return None if _at_most(ten_lo, ten_k, hi, k) else digits
-
-
-def advance_digit_count(x: int, digits: int, power: int) -> tuple[int, int]:
-    """``(d, 10**d)`` for the digit count d of ``x >= 1``.
-
-    Starts from any known ``digits <= d`` with ``power == 10**digits``, so
-    a caller whose value only grows can carry the pair along.
-    """
-    # The comparisons step this up once or, at worst, twice.
-    at_least = _digits_at_least(x.bit_length())
-    if at_least > digits:
-        power *= 10 ** (at_least - digits)
-        digits = at_least
-    while x >= power:
-        power *= 10
-        digits += 1
-    return digits, power
 
 
 def decimal_str(x: int) -> str:

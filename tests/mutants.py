@@ -51,6 +51,21 @@ MUTANTS = [
          "tests/test_digits.py::test_power_of_ten_bracket_holds_the_power"),
     ),
     Mutant(
+        # Decides from the bit length a range [2**(b-1), 2**b) that holds a power of ten.
+        "digits-bit-range-upper-one-short", "digits.py",
+        "if bits * _LOG10_2_HI // _LOG10_2_DEN < digits:",
+        "if (bits - 1) * _LOG10_2_HI // _LOG10_2_DEN < digits:",
+        ("tests/test_digits.py::test_bit_length_decides_only_where_no_power_of_ten_is_in_range",
+         "tests/test_digits.py::test_powers_of_ten_plus_minus_one"),
+    ),
+    Mutant(
+        "digits-exact-fallback-strict", "digits.py",
+        "return digits + (x >= 10**digits)",
+        "return digits + (x > 10**digits)",
+        ("tests/test_digits.py::test_powers_of_ten_plus_minus_one",
+         "tests/test_digits.py::test_narrow_brackets_fall_back_and_stay_exact"),
+    ),
+    Mutant(
         "emit-drops-last-partial-batch", "cli.py",
         "while batch := list(islice(records, _BATCH)):",
         "while len(batch := list(islice(records, _BATCH))) == _BATCH:",
@@ -170,6 +185,13 @@ MUTANTS = [
         "                running *= gained\n                gained = 1\n                bits = running.bit_length()\n",
         "                bits = running.bit_length()\n                running *= gained\n                gained = 1\n",
         ("tests/test_bounds.py::TestPsiTable::test_matches_per_n_check_bounds",),
+    ),
+    Mutant(
+        # Keeps the last count at the first sample of a step-997 sweep, about 430 digits short.
+        "psi-table-recount-skipped", "bounds.py",
+        "                digits = decimal_digits(running)\n",
+        "                digits = decimal_digits(running) if n != 997 else digits\n",
+        ("tests/test_bounds.py::TestPsiTable::test_matches_per_n_check_bounds[40000-997]",),
     ),
     Mutant(
         "lcm-fold-ignores-acc", "engine.py",

@@ -82,9 +82,11 @@ class TestPsiTable:
         records = psi_table(50, 12)
         assert [r.n for r in records] == [12, 24, 36, 48]
 
-    def test_matches_per_n_check_bounds(self):
-        cumulative = psi_table(60, 1)
-        assert [r.n for r in cumulative] == list(range(1, 61))
+    # Step 997: each sample's lcm is hundreds of digits longer than the last.
+    @pytest.mark.parametrize("max_n, step", [(60, 1), (40000, 997)])
+    def test_matches_per_n_check_bounds(self, max_n, step):
+        cumulative = psi_table(max_n, step)
+        assert [r.n for r in cumulative] == list(range(step, max_n + 1, step))
         for rec in cumulative:
             single = check_bounds(rec.n)
             assert rec.lcm_digits == single.lcm_digits

@@ -73,6 +73,27 @@ def test_powers_of_two_plus_minus_one(unlimited_str):
             assert decimal_str(-v) == str(-v), k
 
 
+def test_bit_length_decides_only_where_no_power_of_ten_is_in_range(unlimited_str, monkeypatch):
+    # Both ends of each bit range [2**(b-1), 2**b): about 70% of ranges hold
+    # no power of ten and are counted from the bit length alone; the rest
+    # go on to the bracket, as every 10**j and its neighbours must.
+    bracketed = []
+    bracket = digits.bracket_digit_count
+    monkeypatch.setattr(digits, "bracket_digit_count", lambda *a: bracketed.append(a) or bracket(*a))
+    decided = 0
+    for b in range(1, 4001):
+        before = len(bracketed)
+        for v in (2 ** (b - 1), 2**b - 1):
+            assert decimal_digits(v) == len(str(v)), b
+        decided += len(bracketed) == before
+    assert 0.69 < decided / 4000 < 0.71
+    for j in range(1, 1300):
+        for v, text in near_power_of_ten(j):
+            before = len(bracketed)
+            assert decimal_digits(v) == len(text), v
+            assert len(bracketed) == before + 1, j
+
+
 # The fixture runs once for all examples; the lifted limit is all it does.
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(min_value=0, max_value=40_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
@@ -175,8 +196,8 @@ def test_narrow_brackets_fall_back_and_stay_exact(unlimited_str, monkeypatch, wi
     expand = PrimePowerFactorization.expand
     monkeypatch.setattr(PrimePowerFactorization, "expand", lambda f: factored_fallbacks.append(f) or expand(f))
     int_fallbacks = []
-    advance = digits.advance_digit_count
-    monkeypatch.setattr(digits, "advance_digit_count", lambda *a: int_fallbacks.append(a) or advance(*a))
+    exact = digits._exact_digit_count
+    monkeypatch.setattr(digits, "_exact_digit_count", lambda *a: int_fallbacks.append(a) or exact(*a))
     cases = [f for j in range(0, 120, 7) for f in powers_of_ten_and_neighbours(j)]
     cases += [row_lcm_valuation(n) for n in range(0, 400, 13)] + [lcm_range(n) for n in range(1, 400, 13)]
     for f in cases:
