@@ -29,10 +29,12 @@ Primes come from one bytearray sieve, _primes_upto, read out into one
 array('I'), four bytes per prime and no int object: lcm_range,
 prime_power_bases and row_lcm_valuation read it directly, and
 sieve_primes wraps its output as Prime for the API. A
-PrimePowerFactorization holds its primes in one array('I') and their
-exponents in a parallel tuple, with no (p, e) pair or dict per prime:
-lcm_range adopts the sieve's array itself, and row_lcm_valuation the
-array _row_exponents returns. Its items() is a one-pass iterator.
+PrimePowerFactorization holds its primes in one array('I') and the
+exponents of its first primes in a tuple, every later prime having
+exponent 1, with no (p, e) pair or dict per prime. Each prime a route
+keeps above isqrt(n) has exponent 1, so lcm_range adopts the sieve's
+array with the exponents up to isqrt(n) only, and row_lcm_valuation
+what _row_exponents returns. Its items() is a one-pass iterator.
 
 All values are exact; nothing in this module goes through floats.
 """
@@ -41,11 +43,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import add, mul, ne
+from operator import add, eq, mul, ne
 from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
@@ -83,16 +85,18 @@ class PrimePowerFactorization:
     """A canonical product of prime powers, prod p^e with e >= 1.
 
     Stored as the primes in strictly increasing order, packed in one
-    array('I') (every Prime is below 2**32), and their exponents in a
-    parallel tuple (an exponent is unbounded), with no pair or dict per
-    prime; a lookup bisects the primes. Zero exponents are never stored,
-    so expand() is injective: two distinct factorizations always expand
-    to distinct integers. Both builds store the same layout, so equality
-    and hash never compare two kinds of container. items() is a one-pass
-    iterator of (p, e) pairs of ints; iteration yields each prime as a
-    Prime. The constructor validates each key as a Prime; lcm_range and
-    row_lcm_valuation build through _trusted, handing over the array
-    from _primes_upto or _row_exponents, which no method hands out.
+    array('I') (every Prime is below 2**32), and the exponents of the
+    first len(_exps) of them in a tuple (an exponent is unbounded); every
+    later prime has exponent 1. There is no pair or dict per prime. Zero
+    exponents are never stored, so expand() is injective: two distinct
+    factorizations always expand to distinct integers. Two builds of one
+    value may store tuples of different lengths, so equality and hash
+    read items(), a one-pass iterator of (p, e) pairs of ints; iteration
+    yields each prime as a Prime. The constructor validates each key as a
+    Prime and stores every exponent; lcm_range and row_lcm_valuation
+    build through _trusted, handing over the array from _primes_upto or
+    _row_exponents, which no method hands out, and the exponents up to
+    isqrt(n) only.
     """
 
     __slots__ = ("_primes", "_exps")
@@ -112,32 +116,18 @@ class PrimePowerFactorization:
         self._exps = tuple(map(seen.__getitem__, kept))
 
     @classmethod
-    def _trusted(cls, primes: Iterable[int], exps: Iterable[int]) -> "PrimePowerFactorization":
-        # Internal fast path: primes increasing, exps >= 1, one per prime.
-        # An array('I') of primes is adopted, not copied: lcm_range and
-        # row_lcm_valuation hand over one that nothing else holds.
+    def _trusted(cls, primes: array, exps: Iterable[int]) -> "PrimePowerFactorization":
+        # Internal fast path: primes an increasing array('I'), adopted, not
+        # copied (lcm_range and row_lcm_valuation hand over one that nothing
+        # else holds); exps >= 1 for at most len(primes) first primes.
         obj = object.__new__(cls)
-        obj._primes = primes if isinstance(primes, array) else array("I", primes)
+        obj._primes = primes
         obj._exps = tuple(exps)
         return obj
 
     def items(self) -> Iterator[tuple[int, int]]:
         """The (p, e) pairs in increasing prime order, as a one-pass iterator."""
-        return zip(self._primes, self._exps)
-
-    def get(self, p: int, default: int = 0) -> int:
-        primes = self._primes
-        i = bisect_left(primes, p)
-        return self._exps[i] if i < len(primes) and primes[i] == p else default
-
-    def __getitem__(self, p: int) -> int:
-        e = self.get(p, None)
-        if e is None:
-            raise KeyError(p)
-        return e
-
-    def __contains__(self, p: int) -> bool:
-        return self.get(p, None) is not None
+        return zip(self._primes, chain(self._exps, repeat(1)))
 
     def __iter__(self) -> Iterator[Prime]:
         return map(Prime._trusted, self._primes)
@@ -147,7 +137,7 @@ class PrimePowerFactorization:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PrimePowerFactorization):
-            return self._primes == other._primes and self._exps == other._exps
+            return self._primes == other._primes and all(map(eq, self.items(), other.items()))
         return NotImplemented
 
     def __hash__(self):
@@ -292,15 +282,14 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     """lcm(1..n) as prod over primes p <= n of p^max{e : p^e <= n}.
 
     Every p > isqrt(n) has p^2 > n, so exponent 1: only the primes up
-    to the square root go through _range_exponent.
+    to the square root go through _range_exponent and are stored.
     """
     if n < 1:
         raise DomainError("lcm_range requires n >= 1")
     check_cap(n, caps.sieve_limit, "sieve limit")
     primes = _primes_upto(n)
     split = bisect_right(primes, math.isqrt(n))
-    exps = chain(map(_range_exponent, primes[:split], repeat(n)), repeat(1, len(primes) - split))
-    return PrimePowerFactorization._trusted(primes, exps)
+    return PrimePowerFactorization._trusted(primes, map(_range_exponent, primes[:split], repeat(n)))
 
 
 def prime_power_bases(limit: int) -> list[int]:
@@ -337,7 +326,9 @@ def lcm_sequence(values: Iterable[int]) -> int:
     Order- and duplication-independent; the values are read once, so a
     one-shot iterator will do. Zeros are rejected: no sequence this
     library produces contains one, so a zero is a caller bug and failing
-    fast beats silently absorbing everything into lcm 0.
+    fast beats silently absorbing everything into lcm 0. So is anything
+    that is not an int, a bool included: a float would fold to a value
+    that is not an exact lcm, or fail inside math.gcd.
     """
     it = iter(values)
     first = next(it, None)
@@ -347,8 +338,8 @@ def lcm_sequence(values: Iterable[int]) -> int:
 
 
 def _positive(v: int) -> int:
-    if v < 1:
-        raise DomainError(f"lcm_sequence requires every element >= 1, got {v}")
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise DomainError(f"lcm_sequence requires every element to be an int >= 1, got {v!r}")
     return v
 
 
@@ -461,9 +452,9 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     lives in valuation: _row_exponents finds each exponent from the
     digits of n without enumerating k, and above isqrt(n) tests no
     prime: it drops at most one from the sieve's array and keeps the
-    rest as one slice, so no Prime or int is kept per prime. Scales to
-    the default valuation cap of n = 10^6, far past where row
-    materialization stops being feasible.
+    rest as one slice with no exponent stored, so no Prime or int is
+    kept per prime. Scales to the default valuation cap of n = 10^6, far
+    past where row materialization stops being feasible.
     """
     if n < 0:
         raise DomainError("row_lcm_valuation requires n >= 0")

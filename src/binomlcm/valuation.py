@@ -19,7 +19,9 @@ prime but those dividing n + 1, and at most one prime q above isqrt(n)
 divides it (two such primes multiply to more than n + 1), or q^2 does
 when n + 1 = q^2. So _row_exponents finds q from the cofactor of n + 1
 left by the primes up to isqrt(n), and keeps every other prime above
-isqrt(n) as one slice of the sieve's array, with no test per prime.
+isqrt(n) as one slice of the sieve's array, with no test per prime and
+no exponent stored: a factorization gives each prime past its stored
+exponents exponent 1.
 
 Everything here is exact integer arithmetic. Base-p digits come from
 repeated integer division; floating-point logarithms misround near
@@ -31,9 +33,7 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 from math import isqrt
-from typing import Sequence
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -201,14 +201,15 @@ def _max_borrows(n: int, p: int) -> int:
     return f0
 
 
-def _row_exponents(n: int, primes: Sequence[int]) -> tuple[Sequence[int], tuple[int, ...]]:
+def _row_exponents(n: int, primes: array) -> tuple[array, tuple[int, ...]]:
     # (kept, exps): each p in primes whose max borrow count e of n - k in
-    # base p is >= 1, and that e, in a slice of primes (the sieve's
-    # array('I')) and a parallel tuple: the factorization of
+    # base p is >= 1, in a slice of primes (the sieve's array('I')), and
+    # the e of each kept p <= isqrt(n) in a tuple; every kept p above it
+    # has e = 1 and no entry. That is the factorization of
     # lcm(C(n,0..n)), with no pair per prime. primes is increasing and
-    # holds every prime <= n; a test may leave out some above isqrt(n),
-    # but not the largest, and the result then leaves them out too.
-    # Below the split the DP runs as is, and n + 1 sheds those primes.
+    # holds every prime <= n, so the one q above isqrt(n) that may divide
+    # n + 1 is in the slice above the split. Below the split the DP runs
+    # as is, and n + 1 sheds those primes.
     split = bisect_right(primes, isqrt(n))
     low = array("I")
     exps = []
@@ -231,9 +232,6 @@ def _row_exponents(n: int, primes: Sequence[int]) -> tuple[Sequence[int], tuple[
     if q * q != m:
         q = m
     if 1 < q <= n:
-        i = bisect_left(high, q)
-        if high[i] == q:  # else a test left q out
-            del high[i]
-    ones = len(high)
+        del high[bisect_left(high, q)]
     high[:0] = low
-    return high, (*exps, *repeat(1, ones))
+    return high, tuple(exps)

@@ -129,9 +129,10 @@ MUTANTS = [
         ("tests/test_valuation.py::test_two_digit_form_matches_kummer_enumeration",),
     ),
     Mutant(
-        "row-large-prime-exponent-one-short", "valuation.py",
-        "(*exps, *repeat(1, ones))",
-        "(*exps, *repeat(1, ones - 1))",
+        # Leaves the last kept prime up to isqrt(n) to the tail of ones, as p at n = p^2.
+        "row-low-exponents-one-short", "valuation.py",
+        "return high, tuple(exps)",
+        "return high, tuple(exps[:-1])",
         ("tests/test_engine.py::TestValuationRoute::test_isqrt_boundary_full_sieve",),
     ),
     Mutant(
@@ -149,16 +150,18 @@ MUTANTS = [
         ("tests/test_valuation.py::test_row_exponents_edge_cases[prime-n1]",),
     ),
     Mutant(
-        "range-large-prime-exponent-one-short", "engine.py",
-        "repeat(1, len(primes) - split))",
-        "repeat(1, len(primes) - split - 1))",
+        # Leaves 2 to the tail of ones at n = 6, where its exponent is 2.
+        "range-low-exponents-one-short", "engine.py",
+        "map(_range_exponent, primes[:split], repeat(n))",
+        "map(_range_exponent, primes[:split - 1], repeat(n))",
         ("tests/test_engine.py::TestLcmRange::test_six",),
     ),
     Mutant(
-        "factorization-lookup-bisect-right", "engine.py",
-        "i = bisect_left(primes, p)",
-        "i = bisect_right(primes, p)",
-        ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
+        "factorization-tail-of-one-one", "engine.py",
+        "chain(self._exps, repeat(1))",
+        "chain(self._exps, repeat(1, 1))",
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",
+         "tests/test_engine.py::TestLcmRange::test_six"),
     ),
     Mutant(
         # A validated build that stores a tuple never equals a _trusted one.
@@ -169,9 +172,22 @@ MUTANTS = [
     ),
     Mutant(
         "factorization-eq-primes-only", "engine.py",
-        "return self._primes == other._primes and self._exps == other._exps",
+        "return self._primes == other._primes and all(map(eq, self.items(), other.items()))",
         "return self._primes == other._primes",
         ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
+    ),
+    Mutant(
+        # Two builds of one value may store exponent tuples of different lengths.
+        "factorization-eq-stored-exponents", "engine.py",
+        "return self._primes == other._primes and all(map(eq, self.items(), other.items()))",
+        "return self._primes == other._primes and self._exps == other._exps",
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",),
+    ),
+    Mutant(
+        "lcm-sequence-accepts-floats", "engine.py",
+        "if not isinstance(v, int) or isinstance(v, bool) or v < 1:",
+        "if v < 1:",
+        ("tests/test_engine.py::TestLcmSequence::test_rejects_what_is_not_an_int",),
     ),
     Mutant(
         # Puts p = isqrt(n) above the split at n = p^2, where n has three digits.

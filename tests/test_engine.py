@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from functools import reduce
 
@@ -110,9 +111,7 @@ class TestPrimePowerFactorization:
 
     def test_mapping_access(self):
         f = PrimePowerFactorization({2: 3, 7: 1})
-        assert f[2] == 3
-        assert f.get(5) == 0
-        assert 7 in f and 5 not in f
+        assert dict(f.items()) == {2: 3, 7: 1}
         assert len(f) == 2
         assert list(f) == [2, 7]
 
@@ -135,6 +134,19 @@ def _factor_dicts(draw) -> dict[int, int]:
     return dict(sorted(drawn.items()))
 
 
+@st.composite
+def _tail_of_ones(draw) -> tuple[list[int], list[int], int]:
+    # Increasing primes, exponents >= 1 of which all past a drawn cut are
+    # 1, and how many of them a _trusted build stores: any count from the
+    # cut to all of them.
+    primes = sorted(draw(st.sets(st.sampled_from(_SOME_PRIMES), max_size=25)))
+    cut = draw(st.integers(min_value=0, max_value=len(primes)))
+    exponents = st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=1000)
+    head = draw(st.lists(exponents, min_size=cut, max_size=cut))
+    stored = draw(st.integers(min_value=cut, max_value=len(primes)))
+    return primes, head + [1] * (len(primes) - cut), stored
+
+
 def _digits_oracle(x: int) -> int:
     # Decimal digits of x >= 1 by exact comparison with powers of ten.
     d = max(1, x.bit_length() * 3 // 10)
@@ -153,19 +165,13 @@ class TestFactorizationAgainstDict:
     def test_both_builds_agree_with_the_dict(self, drawn):
         oracle = {p: e for p, e in drawn.items() if e}
         validated = PrimePowerFactorization(drawn)
-        trusted = PrimePowerFactorization._trusted(list(oracle), list(oracle.values()))
+        trusted = PrimePowerFactorization._trusted(array("I", oracle), list(oracle.values()))
         assert validated == trusted and hash(validated) == hash(trusted)
         value = math.prod(p**e for p, e in oracle.items())
         pairs = list(oracle.items())
         inner = " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in pairs)
-        misses = [0, 1, 4, 1001, 2**32, *(p for p in _SOME_PRIMES[:40] if p not in oracle)]
         for f in (validated, trusted):
-            for p, e in pairs:
-                assert f.get(p) == f[p] == e and p in f
-            for miss in misses:
-                assert f.get(miss) == 0 and f.get(miss, None) is None and miss not in f
-                with pytest.raises(KeyError):
-                    f[miss]
+            assert dict(f.items()) == oracle
             assert list(f) == list(oracle) and len(f) == len(oracle)
             assert list(f.items()) == list(f.items()) == pairs
             assert f.to_pairs() == [[p, e] for p, e in pairs]
@@ -177,6 +183,22 @@ class TestFactorizationAgainstDict:
             (p, e), *rest = pairs
             bumped = PrimePowerFactorization([(p, e + 1), *rest])
             assert validated != bumped and trusted != bumped
+
+    @given(_tail_of_ones())
+    @settings(deadline=None, max_examples=150)
+    def test_a_stored_prefix_and_its_tail_of_ones_are_one_value(self, drawn):
+        # _trusted stores the exponents of the first primes only; every
+        # later prime has exponent 1, as the validated build stores it.
+        primes, exps, stored = drawn
+        validated = PrimePowerFactorization(zip(primes, exps))
+        trusted = PrimePowerFactorization._trusted(array("I", primes), exps[:stored])
+        assert validated == trusted and trusted == validated
+        assert hash(validated) == hash(trusted)
+        assert list(validated.items()) == list(trusted.items()) == list(zip(primes, exps))
+        assert validated.to_pairs() == trusted.to_pairs()
+        assert repr(validated) == repr(trusted)
+        assert validated.expand() == trusted.expand() == math.prod(p**e for p, e in zip(primes, exps))
+        assert validated.digit_count() == trusted.digit_count()
 
 
 class TestLcmRange:
@@ -221,7 +243,7 @@ class TestLcmRange:
         # is above 1; at p^2 - 1 it is the first with exponent 1.
         n = p * p + offset
         assert lcm_range(n).expand() == brute_range_lcm(n)
-        assert lcm_range(n)[p] == (2 if offset >= 0 else 1)
+        assert dict(lcm_range(n).items())[p] == (2 if offset >= 0 else 1)
 
     def test_exact_divisibility_by_endpoint(self):
         for n in range(0, 200):
@@ -298,6 +320,13 @@ class TestLcmSequence:
     def test_names_the_first_value_below_one(self):
         with pytest.raises(DomainError, match=r"got -1$"):
             lcm_sequence([3, -1, 0])
+
+    @pytest.mark.parametrize("values", [[1.0, 4], [2.0], [4, 6.0], [True], [3, False], ["5"], [2, "5"]])
+    def test_rejects_what_is_not_an_int(self, values):
+        # A float once folded to 4 from [1.0, 4] and raised TypeError from
+        # math.gcd on [2.0]; a bool is an int to Python, but not an element.
+        with pytest.raises(DomainError, match=r"requires every element to be an int >= 1"):
+            lcm_sequence(values)
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40))
     @settings(deadline=None, max_examples=150)
@@ -459,13 +488,23 @@ class TestValuationRoute:
     def test_isqrt_boundary_up_to_p_1000(self, monkeypatch):
         # Sieving to n ~ 10^6 for each of these 504 n would take seconds, so
         # the sieve is narrowed to every prime up to p + 200 (all those
-        # below the split and the first ones above it) and the 30 largest
-        # primes <= n; row_lcm_valuation still finds the split itself.
+        # below the split and the first ones above it), the 30 largest
+        # primes <= n, and every prime <= n that divides n + 1, which
+        # _row_exponents finds in the sieve's array; row_lcm_valuation
+        # still finds the split itself.
         primes = _primes_upto(1000**2 + 1)
+        small = _primes_upto(1001)  # n + 1 <= 1000**2 + 2 < 1009**2
         for p in _primes_upto(1000):
             for n in (p * p - 1, p * p, p * p + 1):
                 upto_n = primes[: bisect_right(primes, n)]
-                window = sorted(set(upto_n[: bisect_right(upto_n, p + 200)] + upto_n[-30:]))
+                m = n + 1
+                factors = [q for q in small if m % q == 0]
+                for q in factors:
+                    while m % q == 0:
+                        m //= q
+                factors.append(m)  # 1, or the one prime factor of n + 1 above 1001
+                divisors = [q for q in factors if 1 < q <= n]
+                window = array("I", sorted({*upto_n[: bisect_right(upto_n, p + 200)], *upto_n[-30:], *divisors}))
 
                 def narrowed(limit, n=n, window=window):
                     assert limit == n
@@ -511,10 +550,12 @@ def _traced_peak_bytes(fn) -> int:
 def test_factorization_routes_hold_no_pair_per_prime(route):
     # At n = 3*10^5 the sieve gives about 26,000 primes. A (p, e) tuple per
     # prime, or a dict built from them, peaked at 4.4-4.5 MB, and two flat
-    # tuples next to the sieve's list of ints near 1.7 MB; the primes packed
-    # in one array('I') beside a tuple of exponents stay near 0.5 MB.
+    # tuples next to the sieve's list of ints near 1.7 MB. The primes packed
+    # in one array('I') beside a tuple with an exponent per prime peaked at
+    # 0.35 MB (range) and 0.64 MB (valuation); with exponents stored only
+    # up to isqrt(n), the rest read as a tail of ones, both stay near 0.26 MB.
     peak = _traced_peak_bytes(lambda: route(300_000).digit_count())
-    assert peak < 0.9e6, f"{route.__name__}(300000).digit_count() peaked at {peak / 1e6:.2f} MB"
+    assert peak < 0.45e6, f"{route.__name__}(300000).digit_count() peaked at {peak / 1e6:.2f} MB"
 
 
 class TestWeightedRowLcm:

@@ -192,11 +192,11 @@ def test_two_digit_form_matches_kummer_enumeration():
     # against the carry count enumerated over the half row (by symmetry,
     # the maximum over the whole row).
     for n in range(0, 400):
-        row = row_lcm_valuation(n)
+        row = dict(row_lcm_valuation(n).items())
         for p in sieve_primes(n):
             if p > math.isqrt(n):
                 expected = max(kummer_binomial_valuation(n, k, p) for k in range(n // 2 + 1))
-                assert row.get(p) == expected, (n, int(p))
+                assert row.get(p, 0) == expected, (n, int(p))
 
 
 def test_sieve_output_is_prime_typed_and_correct():
@@ -211,13 +211,15 @@ def test_sieve_output_is_prime_typed_and_correct():
 def _assert_row_exponents_match_the_dp(n):
     # Every sieved prime through the DP, zero exponents dropped; the sieve's
     # array goes in and comes back unchanged, and the kept primes come out
-    # as an array('I') beside a tuple of exponents.
+    # as an array('I') beside a tuple with the exponent of each kept prime
+    # up to isqrt(n) and none for those above it, whose exponent is 1.
     primes = _primes_upto(n)
     kept, exps = _row_exponents(n, primes)
     assert primes == _primes_upto(n)
     assert type(kept) is array and kept.typecode == "I" and type(exps) is tuple
-    assert len(kept) == len(exps)
-    assert list(zip(kept, exps)) == [(p, e) for p in primes if (e := _max_borrows(n, p))], n
+    assert len(exps) == bisect_right(kept, math.isqrt(n))
+    expected = [(p, e) for p in primes if (e := _max_borrows(n, p))]
+    assert list(zip(kept, (*exps, *repeat(1, len(kept) - len(exps))))) == expected, n
 
 
 def test_row_exponents_match_the_dp_for_every_n_below_3000():
@@ -250,7 +252,8 @@ def test_row_exponents_match_the_dp_up_to_a_million(n):
 def test_row_exponents_follow_farhi_for_every_n_below_20000():
     # Farhi: lcm(C(n,0..n)) = lcm(1..n+1) / (n+1), so the exponent of p is
     # max{a : p^a <= n+1} - v_p(n+1). Above isqrt(n+1) that is 1, or 0 for
-    # a p that divides n+1, found from a table of smallest prime factors.
+    # a p that divides n+1, found from a table of smallest prime factors;
+    # _row_exponents stores no exponent for the primes above isqrt(n).
     # The DP pass above stops at 3,000: through 20,000 it takes 24 million
     # calls.
     limit = 20_000
@@ -282,4 +285,4 @@ def test_row_exponents_follow_farhi_for_every_n_below_20000():
                 high.remove(p)
         kept, exps = _row_exponents(n, upto)
         assert kept == array("I", [p for p, _ in low]) + high, n
-        assert exps == (*(e for _, e in low), *repeat(1, len(high))), n
+        assert exps == tuple(e for _, e in low), n
