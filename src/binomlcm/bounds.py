@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import decimal_digits
 from .engine import _range_exponent, lcm_range, prime_power_bases
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 # Not used here: perfbench/layer_trace.py still times the prime-power table under this old name.
 _smallest_prime_factors = prime_power_bases
@@ -119,8 +119,7 @@ def _record(n: int, lcm_value: int, bits: int, lcm_digits: int, psi: float) -> B
 
 def check_bounds(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BoundsRecord:
     """Bounds record for a single n, from the factorization of lcm(1..n)."""
-    if n < 1:
-        raise DomainError(f"check_bounds requires n >= 1, got {n}")
+    require_int(n, 1, "check_bounds requires an int n >= 1, got {!r}")
     factorization = lcm_range(n, caps=caps)
     value = factorization.expand()
     return _record(n, value, value.bit_length(), decimal_digits(value), factorization.log_value())
@@ -177,10 +176,8 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
     are redone only at a sample that some prime power has reached since
     the last one; every other sample reuses them.
     """
-    if step < 1:
-        raise DomainError(f"psi_table requires step >= 1, got {step}")
-    if max_n < 1:
-        raise DomainError(f"psi_table requires max_n >= 1, got {max_n}")
+    require_int(step, 1, "psi_table requires step >= 1, got {!r}")
+    require_int(max_n, 1, "psi_table requires max_n >= 1, got {!r}")
     if step > max_n:
         raise DomainError(f"psi_table has no sample: step {step} > max_n {max_n}")
     check_cap(max_n, caps.sieve_limit, "psi table max_n")

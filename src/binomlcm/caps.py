@@ -34,7 +34,6 @@ CAP_FIELDS = (
     CapField("sieve_limit", 10_000_000, "BINOMLCM_MAX_SIEVE", "sieve limit"),
     CapField("full_row_n", 5_000, "BINOMLCM_MAX_ROW", "full-row n cap"),
     CapField("fold_range_n", 100_000, "BINOMLCM_MAX_FOLD", "fold range-lcm n cap"),
-    CapField("valuation_n", 1_000_000, "BINOMLCM_MAX_VALUATION", "valuation-method n cap"),
 )
 
 

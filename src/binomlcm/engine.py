@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import bracket_digit_count, bracket_product, decimal_digits
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, require_int
 from .valuation import Prime, _as_prime, _row_exponents
 
 __all__ = [
@@ -106,8 +106,7 @@ class PrimePowerFactorization:
         seen: dict[Prime, int] = {}
         for p, e in items:
             p = _as_prime(p)
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise DomainError(f"exponent of {int(p)} must be a natural, got {e!r}")
+            require_int(e, 0, f"exponent of {int(p)} must be a natural, got {{!r}}")
             if p in seen:
                 raise DomainError(f"duplicate prime {int(p)}")
             seen[p] = e
@@ -262,8 +261,7 @@ def _primes_upto(limit: int) -> array:
 
 def sieve_primes(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[Prime]:
     """All primes <= limit, increasing, each a Prime. Empty for limit < 2."""
-    if limit < 0:
-        raise DomainError("limit must be a nonnegative integer")
+    require_int(limit, 0, "limit must be a nonnegative integer, got {!r}")
     check_cap(limit, caps.sieve_limit, "sieve limit")
     return list(map(Prime._trusted, _primes_upto(limit)))
 
@@ -284,8 +282,7 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     Every p > isqrt(n) has p^2 > n, so exponent 1: only the primes up
     to the square root go through _range_exponent and are stored.
     """
-    if n < 1:
-        raise DomainError("lcm_range requires n >= 1")
+    require_int(n, 1, "lcm_range requires an int n >= 1, got {!r}")
     check_cap(n, caps.sieve_limit, "sieve limit")
     primes = _primes_upto(n)
     split = bisect_right(primes, math.isqrt(n))
@@ -314,8 +311,7 @@ def iter_range_lcms(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterato
     One sieve for the whole range, then one small multiplication per m
     that is a prime power; every other step yields the previous value.
     """
-    if limit < 0:
-        raise DomainError("limit must be a nonnegative integer")
+    require_int(limit, 0, "limit must be a nonnegative integer, got {!r}")
     check_cap(limit, caps.sieve_limit, "sieve limit")
     yield from accumulate(prime_power_bases(limit), mul)
 
@@ -338,9 +334,7 @@ def lcm_sequence(values: Iterable[int]) -> int:
 
 
 def _positive(v: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise DomainError(f"lcm_sequence requires every element to be an int >= 1, got {v!r}")
-    return v
+    return require_int(v, 1, "lcm_sequence requires every element to be an int >= 1, got {!r}")
 
 
 def iter_binomial_rows(n_max: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterator[BinomialRow]:
@@ -350,8 +344,7 @@ def iter_binomial_rows(n_max: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iter
     from scratch costs O(n^2) additions, while the incremental sweep
     pays that once for the whole range.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be a nonnegative integer")
+    require_int(n_max, 0, "n_max must be a nonnegative integer, got {!r}")
     check_cap(n_max, caps.full_row_n, "binomial row n")
     row = (1,)
     yield BinomialRow(0, row)
@@ -417,15 +410,13 @@ def _fold_half_row_lcm(row: BinomialRow) -> int:
 
 def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n): materialize the row, fold. The oracle route."""
-    if n < 0:
-        raise DomainError("row_lcm_naive requires n >= 0")
+    require_int(n, 0, "row_lcm_naive requires n >= 0")
     return binomial_row(n, caps=caps).lcm
 
 
 def row_lcm_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n) as lcm(1..n+1)/(n+1), with exact division checked."""
-    if n < 0:
-        raise DomainError("row_lcm_farhi requires n >= 0")
+    require_int(n, 0, "row_lcm_farhi requires n >= 0")
     return row_quotient(lcm_range(n + 1, caps=caps).expand(), n)
 
 
@@ -445,7 +436,7 @@ def row_quotient(lcm_next: int, n: int) -> int:
 
 
 def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactorization:
-    """lcm of C(n,0..n) as a factorization, one max-valuation per prime.
+    """lcm of C(n,0..n) as a factorization, one maximal valuation per prime.
 
     The exponent of p is the largest v_p(C(n,k)) over 0 <= k <= n, the
     most borrows any base-p subtraction n - k can make. That borrow rule
@@ -453,12 +444,11 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     digits of n without enumerating k, and above isqrt(n) tests no
     prime: it drops at most one from the sieve's array and keeps the
     rest as one slice with no exponent stored, so no Prime or int is
-    kept per prime. Scales to the default valuation cap of n = 10^6, far
-    past where row materialization stops being feasible.
+    kept per prime. Its work is the sieve's, so its one cap is the sieve
+    cap (n = 10^7 by default), as for lcm_range: far past where row
+    materialization stops being feasible.
     """
-    if n < 0:
-        raise DomainError("row_lcm_valuation requires n >= 0")
-    check_cap(n, caps.valuation_n, "valuation-method row n")
+    require_int(n, 0, "row_lcm_valuation requires n >= 0")
     check_cap(n, caps.sieve_limit, "sieve limit")
     return PrimePowerFactorization._trusted(*_row_exponents(n, _primes_upto(n)))
 

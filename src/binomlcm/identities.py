@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import decimal_str
 from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotient
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, require_int
 
 __all__ = [
     "Theorem", "IdentityReport", "EquivalenceChainReport", "verify_nair", "termwise_identity", "equivalence_chain",
@@ -296,7 +296,8 @@ def verify_range(
     entries = [_REGISTRY[t] for t in theorems]
     if not entries:
         raise DomainError("no theorem selected")
-    if first > last:
+    require_int(first, None, "verify_range requires an int from, got {!r}")
+    if first > require_int(last, None, "verify_range requires an int to, got {!r}"):
         raise DomainError(f"empty range: from {first} > to {last}")
     for theorem, entry in zip(theorems, entries):
         if first < entry.first:
@@ -349,6 +350,7 @@ def equivalence_chain(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Equivalen
 
 def termwise_identity(n: int, t: int) -> bool:
     """Exact check of t*C(n,t) == n*C(n-1,t-1) for 1 <= t <= n."""
-    if t < 1 or t > n:
+    require_int(n, None, "termwise identity requires an int n, got {!r}")
+    if not 1 <= require_int(t, None, "termwise identity requires an int t, got {!r}") <= n:
         raise DomainError(f"termwise identity requires 1 <= t <= n, got n={n}, t={t}")
     return t * math.comb(n, t) == n * math.comb(n - 1, t - 1)

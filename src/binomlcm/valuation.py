@@ -35,7 +35,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from math import isqrt
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, require_int
 
 __all__ = [
     "Prime",
@@ -108,8 +108,7 @@ def legendre_factorial_valuation(n: int, p) -> int:
     The empty sum gives 0 for n = 0 (0! = 1).
     """
     p = _as_prime(p)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     total = 0
     q = p
     while q <= n:
@@ -126,7 +125,8 @@ def kummer_binomial_valuation(n: int, k: int, p) -> int:
     branch-free in the digit values.
     """
     p = _as_prime(p)
-    if not 0 <= k <= n:
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
+    if not 0 <= require_int(k, None, "k must be an int, got {!r}") <= n:
         raise DomainError(f"require 0 <= k <= n, got n={n}, k={k}")
     a, b = k, n - k
     carry = 0
@@ -146,11 +146,10 @@ def binomial_valuation(n: int, k: int, p) -> int:
     """v_p(C(n,k)), carry-counted and cross-checked against Legendre.
 
     Both formulas run on every call; a disagreement would mean this
-    library is broken and raises InternalConsistencyError.
+    library is broken and raises InternalConsistencyError. n and k are
+    checked by kummer_binomial_valuation, before Legendre reads them.
     """
     p = _as_prime(p)
-    if not 0 <= k <= n:
-        raise DomainError(f"require 0 <= k <= n, got n={n}, k={k}")
     by_carries = kummer_binomial_valuation(n, k, p)
     by_legendre = (
         legendre_factorial_valuation(n, p)
@@ -179,8 +178,7 @@ def max_binomial_valuation(n: int, p) -> int:
     _max_borrows, which _row_exponents runs on sieved primes.
     """
     p = _as_prime(p)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    require_int(n, 0, "n must be a nonnegative integer, got {!r}")
     return _max_borrows(n, p)
 
 

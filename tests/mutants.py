@@ -184,9 +184,10 @@ MUTANTS = [
         ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",),
     ),
     Mutant(
-        "lcm-sequence-accepts-floats", "engine.py",
-        "if not isinstance(v, int) or isinstance(v, bool) or v < 1:",
-        "if v < 1:",
+        # lcm_sequence's elements go through the one shared check.
+        "require-int-admits-bools", "errors.py",
+        "and not isinstance(value, bool) and",
+        "and",
         ("tests/test_engine.py::TestLcmSequence::test_rejects_what_is_not_an_int",),
     ),
     Mutant(
@@ -279,6 +280,19 @@ MUTANTS = [
         "        return cls(*iterable)\n",
         "",
         ("tests/test_records.py::test_every_way_to_build_refuses_an_inconsistent_record",),
+    ),
+    Mutant(
+        # The sieve cap is the valuation route's only cap, and admits n itself.
+        "valuation-sieve-cap-one-short", "engine.py",
+        'check_cap(n, caps.sieve_limit, "sieve limit")\n    return PrimePowerFactorization._trusted(*_row_exponents',
+        'check_cap(n + 1, caps.sieve_limit, "sieve limit")\n    return PrimePowerFactorization._trusted(*_row_exponents',
+        ("tests/test_engine.py::TestRowLcmRoutes::test_valuation_cap",),
+    ),
+    Mutant(
+        "require-int-admits-floats", "errors.py",
+        "if isinstance(value, int) and not isinstance(value, bool) and",
+        "if not isinstance(value, bool) and",
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error",),
     ),
 ]
 

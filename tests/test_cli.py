@@ -128,19 +128,14 @@ class TestRowLcm:
         code, _, err = invoke(capsys, "row-lcm", "100", "--method", "naive", "--max-row", "10")
         assert code == 3 and "cap" in err
 
-    # The valuation cap is checked before the sieve cap.
-    @pytest.mark.parametrize(
-        "caps, named",
-        [
-            (["--max-valuation", "49"], "valuation-method row n"),
-            (["--max-sieve", "49"], "sieve limit"),
-            (["--max-valuation", "49", "--max-sieve", "49"], "valuation-method row n"),
-            (["--max-sieve", "49", "--max-valuation", "49"], "valuation-method row n"),
-        ],
-    )
-    def test_valuation_caps_exit_3(self, capsys, caps, named):
-        code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", *caps)
-        assert (code, out, err) == (3, "", f"binomlcm: resource cap: {named} 50 exceeds the configured cap 49\n")
+    def test_valuation_caps_exit_3(self, capsys):
+        # The sieve cap is the valuation route's only cap.
+        code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", "--max-sieve", "49")
+        assert (code, out, err) == (3, "", "binomlcm: resource cap: sieve limit 50 exceeds the configured cap 49\n")
+
+    def test_no_valuation_cap_flag(self, capsys):
+        code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", "--max-valuation", "5")
+        assert code == 2 and out == "" and "unrecognized arguments: --max-valuation 5" in err
 
 
 class TestVerify:
@@ -281,12 +276,6 @@ CAP_CASES = [
         ["bench", "range", "--ns", "10", "--reps", "3", "--max-sieve", "1"],
         "range_lcm fold n=10 reps=3 ",
     ),
-    (
-        "BINOMLCM_MAX_VALUATION",
-        "--max-valuation",
-        ["row-lcm", "10", "--method", "valuation"],
-        f"{brute_range_lcm(11) // 11}\n",
-    ),
 ]
 
 
@@ -315,7 +304,7 @@ class TestUsageAndCaps:
         code, out, _ = invoke(capsys, *argv, flag, "100")
         assert code == 0 and out.startswith(lifted_out)
 
-    @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold", "--max-valuation"])
+    @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold"])
     def test_negative_cap_flag_refused(self, capsys, flag):
         code, out, err = invoke(capsys, "lcm-range", "10", flag, "-1")
         assert code == 2 and out == "" and "must be >= 0, got -1" in err
@@ -384,7 +373,8 @@ PROTOCOL_CASES = [
 
 
 # sha256 of (stdout, stderr) for help and usage errors, captured at an
-# 80-column width while _build_parser still built every subcommand in full.
+# 80-column width (the top-level help and the two usage errors while
+# _build_parser still built every subcommand in full).
 # argparse's help layout is not fixed across Python versions, so the digests
 # are checked on the version they were captured on; the tests after them
 # hold on any.
@@ -392,11 +382,11 @@ _EMPTY = hashlib.sha256(b"").hexdigest()
 HELP_DIGESTS_PY = (3, 11)
 HELP_DIGESTS = [
     (["--help"], 0, "59ecef3e825feaa4ba1fd99ab89c52688451b87f15cd0948d88d43d06e5457ab", _EMPTY),
-    (["lcm-range", "--help"], 0, "9a53c9afc2c0c64ad403da1538df6c8315e50c004b72b974d270534d6c60b52e", _EMPTY),
-    (["row-lcm", "--help"], 0, "9b3f9f05a03f0ce9d609a341b4553518aea19277537d4499e6ed18e766f199d6", _EMPTY),
-    (["verify", "--help"], 0, "bcc5e9b006bc16affaca929e8ed1c1004b490305885ae6ac2d998ed1fc5cb833", _EMPTY),
-    (["bounds", "--help"], 0, "ce4a479ee87a0f455e7f302c01deab81f9a75a5710a446ec410e0682d2f88998", _EMPTY),
-    (["bench", "--help"], 0, "c7fe32c2ddfe8eec01cfa1581557d4f3ed8b2a9af574d393bb12bd35e463f2d0", _EMPTY),
+    (["lcm-range", "--help"], 0, "121c4056e8fcf8d3a9893fae68937bb35b1c354c60ebd96982c098d2f8edb6fc", _EMPTY),
+    (["row-lcm", "--help"], 0, "80e0b79275f74fceedc076e289f2b80e56c97607b593792b0880ec5a4fd9bf28", _EMPTY),
+    (["verify", "--help"], 0, "f89206f5ef71336b0ff12e6728ec391598a6504f50d9440d9f891ab028e61819", _EMPTY),
+    (["bounds", "--help"], 0, "4351572b8072db08f6a23d0fb7c73617d4238f8084dbc7d0da2016814d89b454", _EMPTY),
+    (["bench", "--help"], 0, "9e60896860ff5d1f29abb9acf38fda2c4c236b96ae9b9ea16cf640ed41c83322", _EMPTY),
     ([], 2, _EMPTY, "4b9750ca8a770a5a717a88447ff476b89056421f5abd68cd5d561a2073beaa49"),
     (["nosuch"], 2, _EMPTY, "4c1002662dc2653ec16026efbb437aae175f1260b474543cd6c8c51800fe6674"),
 ]

@@ -29,9 +29,17 @@ from binomlcm import (
 )
 from binomlcm import engine
 from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold, _primes_upto
-from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm, trial_is_prime
+from helpers import (
+    brute_range_lcm,
+    brute_row,
+    brute_row_lcm,
+    brute_weighted_row_lcm,
+    fold_lcm,
+    trial_is_prime,
+    vp_by_division,
+)
 
-TIGHT_CAPS = ResourceCaps(sieve_limit=100, full_row_n=10, fold_range_n=50, valuation_n=60)
+TIGHT_CAPS = ResourceCaps(sieve_limit=100, full_row_n=10, fold_range_n=50)
 
 
 class TestSieve:
@@ -454,9 +462,24 @@ class TestRowLcmRoutes:
         assert row_lcm_valuation(4).expand() == row_lcm_naive(4) == 12
         assert row_lcm_valuation(100).expand() == row_lcm_farhi(100)
 
-    def test_valuation_cap(self):
-        with pytest.raises(ResourceCapError):
-            row_lcm_valuation(61, caps=TIGHT_CAPS)
+    @pytest.mark.parametrize("n", [0, 1, 60, 100])
+    def test_valuation_cap(self, n):
+        # The sieve cap is the route's only cap, and it admits n itself.
+        caps = ResourceCaps(sieve_limit=n)
+        assert row_lcm_valuation(n, caps=caps).expand() == brute_row_lcm(n)
+        with pytest.raises(ResourceCapError, match=f"^sieve limit {n + 1} exceeds the configured cap {n}$"):
+            row_lcm_valuation(n + 1, caps=caps)
+
+    def test_valuation_past_a_million_is_the_range_lcm_less_n_plus_1(self):
+        # Farhi's identity: the exponent of p is that of lcm(1..n+1) less
+        # v_p(n + 1). n = 1_000_001 was refused while the route had a cap
+        # of its own at 10^6.
+        n = 1_000_001
+        expected = {}
+        for p, e in lcm_range(n + 1).items():
+            if e := e - vp_by_division(n + 1, p):
+                expected[p] = e
+        assert dict(row_lcm_valuation(n).items()) == expected
 
     def test_three_routes_agree_with_brute_force(self):
         for n in range(0, 201):

@@ -128,8 +128,8 @@ def test_verdicts_are_not_fields():
 
 def test_caps_replace_and_from_env_go_through_the_check():
     assert ResourceCaps().replace(full_row_n=7).full_row_n == 7
-    with pytest.raises(ValueError, match="resource cap valuation_n must be >= 0, got -2"):
-        ResourceCaps.from_env({"BINOMLCM_MAX_VALUATION": "-2"})
+    with pytest.raises(ValueError, match="resource cap fold_range_n must be >= 0, got -2"):
+        ResourceCaps.from_env({"BINOMLCM_MAX_FOLD": "-2"})
     with pytest.raises(ValueError):
         ResourceCaps().replace(no_such_cap=1)
 
@@ -137,7 +137,7 @@ def test_caps_replace_and_from_env_go_through_the_check():
 RECORDS = [
     pytest.param(
         ResourceCaps,
-        "ResourceCaps(sieve_limit=10000000, full_row_n=5000, fold_range_n=100000, valuation_n=1000000)",
+        "ResourceCaps(sieve_limit=10000000, full_row_n=5000, fold_range_n=100000)",
         id="caps",
     ),
     pytest.param(
@@ -177,5 +177,5 @@ def test_records_unpack_and_equal_plain_tuples_of_their_fields():
     n, q_nair, *_, q_range = equivalence_chain(9)
     assert (n, q_nair, q_range) == (9, 2520, 2520)
     assert equivalence_chain(9) == (9, 2520, 2520, 2520, 2520)
-    assert ResourceCaps() == (10_000_000, 5_000, 100_000, 1_000_000)
+    assert ResourceCaps() == (10_000_000, 5_000, 100_000)
     assert check_bounds(10) != check_bounds(11)
