@@ -23,7 +23,7 @@ from math import ceil
 from typing import Callable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import decimal_digits
+from .digits import FLAGS, csv_row, decimal_digits
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 
@@ -52,14 +52,14 @@ class BenchRecord(NamedTuple):
     def plain_line(self) -> str:
         return (
             f"{self.task.value} {self.method} n={self.n} reps={self.reps} "
-            f"median={self.median_ns}ns p90={self.p90_ns}ns digits={self.digits} verified={str(self.verified).lower()}"
+            f"median={self.median_ns}ns p90={self.p90_ns}ns digits={self.digits} verified={FLAGS[self.verified]}"
         )
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "task": self.task.value}
 
     def to_csv_row(self) -> list[str]:
-        return [str(v).lower() if isinstance(v, bool) else str(v) for v in self.to_json_dict().values()]
+        return csv_row(self.to_json_dict().values())
 
 
 BENCH_CSV_HEADER = list(BenchRecord._fields)
@@ -80,6 +80,12 @@ RANGE_ROUTES = {
 
 def _as_int(value) -> int:
     return value.expand() if isinstance(value, PrimePowerFactorization) else value
+
+
+def _elapsed_ns(fn, n: int) -> int:
+    t0 = time.perf_counter_ns()
+    fn(n)
+    return time.perf_counter_ns() - t0
 
 
 def _bench_task(task, routes, caps, methods, ns, reps, smallest) -> list[BenchRecord]:
@@ -117,28 +123,12 @@ def _bench_task(task, routes, caps, methods, ns, reps, smallest) -> list[BenchRe
         for method in feasible:
             fn = methods[method]
             fn(n)  # warm-up, untimed
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                fn(n)
-                samples.append(time.perf_counter_ns() - t0)
-            samples.sort()
+            samples = sorted(_elapsed_ns(fn, n) for _ in range(reps))
             median_ns = (samples[(reps - 1) // 2] + samples[reps // 2]) // 2
             p90_ns = samples[ceil(0.9 * reps) - 1]
             # Monotone sanity is the only timing property ever asserted.
             assert median_ns <= p90_ns
-            records.append(
-                BenchRecord(
-                    task=task,
-                    method=method,
-                    n=n,
-                    reps=reps,
-                    median_ns=median_ns,
-                    p90_ns=p90_ns,
-                    digits=digits,
-                    verified=True,
-                )
-            )
+            records.append(BenchRecord(task, method, n, reps, median_ns, p90_ns, digits, True))
     return records
 
 

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import decimal_digits
+from .digits import FLAGS, VERDICTS, decimal_digits
 from .engine import _range_exponent, lcm_range, prime_power_bases
 from .errors import DomainError, require_int
 
@@ -42,10 +42,8 @@ BOUNDS_PLAIN_HEADER = f"{'n':>10} {'lcm_digits':>11} {'2^(n-1)':>8} {'2^n':>6} {
 
 
 _LOWER_2N_FROM = 9  # the first n at which 2^n <= lcm(1..n) is required
-# A flag's text, indexed by the flag (False == 0, True == 1).
-_OK = ("FAIL", "ok")
+# An unrequired 2^n flag's text, indexed by the flag as digits.VERDICTS is.
 _INFO = ("(no)", "(ok)")
-_CSV = ("false", "true")
 
 
 class BoundsRecord(NamedTuple):
@@ -77,8 +75,8 @@ class BoundsRecord(NamedTuple):
         """One row under BOUNDS_PLAIN_HEADER; an unrequired 2^n flag is in parentheses."""
         n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
         return (
-            f"{n:>10} {lcm_digits:>11} {_OK[lower_2nm1]:>8} "
-            f"{(_OK if n >= _LOWER_2N_FROM else _INFO)[lower_2n]:>6} {_OK[upper_3n]:>6} {psi:>16.12g}"
+            f"{n:>10} {lcm_digits:>11} {VERDICTS[lower_2nm1]:>8} "
+            f"{(VERDICTS if n >= _LOWER_2N_FROM else _INFO)[lower_2n]:>6} {VERDICTS[upper_3n]:>6} {psi:>16.12g}"
         )
 
     def to_json_dict(self) -> dict:
@@ -94,8 +92,9 @@ class BoundsRecord(NamedTuple):
         }
 
     def to_csv_row(self) -> list[str]:
+        # Spelled out, not through digits.csv_row, which costs a sweep of 10**6 records about 0.6 s more.
         n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
-        return [str(n), str(lcm_digits), _CSV[lower_2nm1], _CSV[lower_2n], _CSV[upper_3n], f"{psi:.12g}"]
+        return [str(n), str(lcm_digits), FLAGS[lower_2nm1], FLAGS[lower_2n], FLAGS[upper_3n], f"{psi:.12g}"]
 
 
 # A lower bound on log2(3) = 1.58496250072115618145..., so 2^(n*num//den) <= 3^n.

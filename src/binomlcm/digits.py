@@ -28,13 +28,22 @@ its precision in a local copy of the thread's decimal context.
   multiplications; str() of a Decimal has no digit limit, and the
   conversion is subquadratic where int -> str on Python 3.11 is
   quadratic.
+* A record's flags are spelled here once, for every record type: FLAGS
+  is a flag's text in CSV ("false", "true"), VERDICTS a verdict's in
+  plain text ("FAIL", "ok"), each indexed by the flag. csv_row() turns a
+  record's values into CSV cells, a bool through FLAGS.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 __all__ = ["decimal_digits", "decimal_str"]
+
+# A flag's text, indexed by the flag (False == 0, True == 1).
+FLAGS = ("false", "true")
+VERDICTS = ("FAIL", "ok")
 
 # log10(2) = 0.30102999566398119521373... lies between NUM / DEN and HI / DEN.
 _LOG10_2_NUM = 30102999566398119521
@@ -52,6 +61,11 @@ _CHUNK_BITS = 1024
 # the value, so a product folded in F cuts is bracketed to a relative
 # width of about F * 2**-127: lcm(1..10**6) takes about 11,000 cuts.
 _BRACKET_BITS = 128
+
+
+def csv_row(values: Iterable) -> list[str]:
+    """A record's CSV cells: a bool spelled as FLAGS spells it, any other value as str() does."""
+    return [FLAGS[v] if isinstance(v, bool) else str(v) for v in values]
 
 
 def decimal_digits(x: int) -> int:
@@ -157,20 +171,12 @@ def _to_decimal(x: int) -> decimal.Decimal:
     # Split x at half its bit width: x = hi * 2**w + lo, recursively, with
     # each 2**w built once per call. Inexact is trapped, so a conversion
     # that lost a digit raises instead of printing a wrong value.
-    powers: dict[int, decimal.Decimal] = {}
-
+    @cache
     def pow2(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= _CHUNK_BITS:
-                result = decimal.Decimal(1 << w)
-            elif w - 1 in powers:
-                result = powers[w - 1] * 2
-            else:
-                half = w >> 1
-                result = pow2(half) * pow2(w - half)
-            powers[w] = result
-        return result
+        if w <= _CHUNK_BITS:
+            return decimal.Decimal(1 << w)
+        half = w >> 1
+        return pow2(half) * pow2(w - half)
 
     def convert(n: int, w: int) -> decimal.Decimal:
         if w <= _CHUNK_BITS:

@@ -410,13 +410,13 @@ def _fold_half_row_lcm(row: BinomialRow) -> int:
 
 def row_lcm_naive(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n): materialize the row, fold. The oracle route."""
-    require_int(n, 0, "row_lcm_naive requires n >= 0")
+    require_int(n, 0, "row_lcm_naive requires an int n >= 0, got {!r}")
     return binomial_row(n, caps=caps).lcm
 
 
 def row_lcm_farhi(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> int:
     """lcm of C(n,0..n) as lcm(1..n+1)/(n+1), with exact division checked."""
-    require_int(n, 0, "row_lcm_farhi requires n >= 0")
+    require_int(n, 0, "row_lcm_farhi requires an int n >= 0, got {!r}")
     return row_quotient(lcm_range(n + 1, caps=caps).expand(), n)
 
 
@@ -448,7 +448,7 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     cap (n = 10^7 by default), as for lcm_range: far past where row
     materialization stops being feasible.
     """
-    require_int(n, 0, "row_lcm_valuation requires n >= 0")
+    require_int(n, 0, "row_lcm_valuation requires an int n >= 0, got {!r}")
     check_cap(n, caps.sieve_limit, "sieve limit")
     return PrimePowerFactorization._trusted(*_row_exponents(n, _primes_upto(n)))
 

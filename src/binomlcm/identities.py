@@ -55,7 +55,7 @@ from itertools import chain, pairwise, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
-from .digits import decimal_str
+from .digits import VERDICTS, csv_row, decimal_str
 from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotient
 from .errors import DomainError, InternalConsistencyError, require_int
 
@@ -107,20 +107,12 @@ class IdentityReport(NamedTuple):
 
     def plain_line(self) -> str:
         return (
-            f"{self.theorem.value} n={self.n} {'ok' if self.holds else 'FAIL'} "
+            f"{self.theorem.value} n={self.n} {VERDICTS[self.holds]} "
             f"lhs={decimal_str(self.lhs)} rhs={decimal_str(self.rhs)}"
         )
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.theorem.value,
-            str(self.n),
-            decimal_str(self.lhs),
-            decimal_str(self.rhs),
-            "true" if self.holds else "false",
-            self.lhs_method,
-            self.rhs_method,
-        ]
+        return csv_row(self.to_json_dict().values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,7 +149,7 @@ class EquivalenceChainReport(NamedTuple):
 
     def plain_line(self) -> str:
         return (
-            f"CHAIN n={self.n} {'ok' if self.all_equal else 'FAIL'} nair={decimal_str(self.q_nair)} "
+            f"CHAIN n={self.n} {VERDICTS[self.all_equal]} nair={decimal_str(self.q_nair)} "
             f"thm4_rhs={decimal_str(self.q_thm4_rhs)} "
             f"thm3_lhs={decimal_str(self.q_thm3_lhs)} range={decimal_str(self.q_range)}"
         )
@@ -165,15 +157,15 @@ class EquivalenceChainReport(NamedTuple):
     def to_csv_row(self) -> list[str]:
         # Flattened onto IDENTITY_CSV_HEADER: the chain's endpoints become
         # lhs/rhs. Full detail is in JSON.
-        return [
+        return csv_row((
             Theorem.CHAIN.value,
-            str(self.n),
+            self.n,
             decimal_str(self.q_nair),
             decimal_str(self.q_range),
-            "true" if self.all_equal else "false",
+            self.all_equal,
             "weighted row fold (chain head)",
             "prime-power factorization of lcm(1..n) (chain tail)",
-        ]
+        ))
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,6 +6,8 @@ case here calls a public function with one such argument and expects a
 DomainError that shows the value.
 """
 
+import re
+
 import pytest
 
 from binomlcm import (
@@ -70,6 +72,6 @@ def test_a_value_that_is_not_an_int_is_a_domain_error(call, shown):
 @pytest.mark.parametrize("route", [row_lcm_naive, row_lcm_farhi, row_lcm_valuation])
 @pytest.mark.parametrize("n", [4.0, True, "4"])
 def test_row_routes_refuse_what_is_not_an_int(route, n):
-    # The message stays the one a negative n gets, "requires n >= 0".
-    with pytest.raises(DomainError, match=f"^{route.__name__} requires n >= 0$"):
+    # The message is the one a negative n gets, and shows the value given.
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{route.__name__} requires an int n >= 0, got {n!r}')}$"):
         route(n)

@@ -122,7 +122,7 @@ class TestRowLcm:
     @pytest.mark.parametrize("method", ["naive", "farhi", "valuation"])
     def test_negative_n_names_the_route(self, capsys, method):
         code, out, err = invoke(capsys, "row-lcm", "-1", "--method", method)
-        assert (code, out, err) == (2, "", f"binomlcm: domain error: row_lcm_{method} requires n >= 0\n")
+        assert (code, out, err) == (2, "", f"binomlcm: domain error: row_lcm_{method} requires an int n >= 0, got -1\n")
 
     def test_naive_cap_exit_3(self, capsys):
         code, _, err = invoke(capsys, "row-lcm", "100", "--method", "naive", "--max-row", "10")
@@ -253,6 +253,16 @@ class TestBench:
         )
         assert code == 3 and out == ""
         assert "range_lcm bench at n=50" in err
+
+    def test_routes_that_disagree_exit_1_and_print_nothing(self, capsys, monkeypatch):
+        from binomlcm import engine
+
+        farhi = engine.ROW_ROUTES["farhi"]
+        monkeypatch.setitem(engine.ROW_ROUTES, "farhi", lambda n, caps: farhi(n, caps) + 1)
+        code, out, err = invoke(capsys, "bench", "row", "--ns", "10", "--reps", "3")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("binomlcm: internal consistency: row_lcm methods disagree at n=10")
 
     def test_range_n_zero_refused_up_front(self, capsys, monkeypatch):
         import binomlcm.bench as bench_mod
@@ -427,6 +437,13 @@ class TestRecordProtocol:
         assert len(record.to_csv_row()) == len(header)
         assert record.ok is getattr(record, flag) is expected
         assert "\n" not in record.plain_line()
+
+    @pytest.mark.parametrize("record, header", [(c[0], c[1]) for c in PROTOCOL_CASES[:2] + PROTOCOL_CASES[-2:]])
+    def test_an_identity_or_bench_csv_row_is_its_json_dict(self, record, header):
+        # Both read their CSV row off to_json_dict(), so its keys are the header.
+        doc = record.to_json_dict()
+        assert list(doc) == header
+        assert record.to_csv_row() == [str(v).lower() if isinstance(v, bool) else str(v) for v in doc.values()]
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)

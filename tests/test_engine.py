@@ -537,7 +537,7 @@ class TestValuationRoute:
                 assert row_lcm_valuation(n) == _valuation_reference(n, window), n
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError, match="requires n >= 0"):
+        with pytest.raises(DomainError, match="^row_lcm_valuation requires an int n >= 0, got -1$"):
             row_lcm_valuation(-1)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 10, 24, 25, 26, 100, 1000, 30030, 99999])
