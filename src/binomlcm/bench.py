@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import FLAGS, csv_row, decimal_digits
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
-from .errors import DomainError, InternalConsistencyError, ResourceCapError
+from .errors import DomainError, InternalConsistencyError, ResourceCapError, require_int
 
 __all__ = ["Task", "BenchRecord", "bench_row_methods", "bench_range_methods"]
 
@@ -92,10 +92,8 @@ def _bench_task(task, routes, caps, methods, ns, reps, smallest) -> list[BenchRe
     if not ns:
         raise DomainError("no n to bench: the n list is empty")
     for n in ns:
-        if n < smallest:
-            raise DomainError(f"{task.value} bench requires n >= {smallest}, got {n}")
-    if reps < 3:
-        raise DomainError(f"reps must be >= 3, got {reps}")
+        require_int(n, smallest, f"{task.value} bench requires an int n >= {smallest}, got {{!r}}")
+    require_int(reps, 3, "reps must be an int >= 3, got {!r}")
     if methods is None:
         methods = {m: partial(route, caps=caps) for m, route in routes.items()}
     # Attestation pass: at every n, the routes within their caps must

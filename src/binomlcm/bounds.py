@@ -102,10 +102,11 @@ _LOG2_3_NUM = 15849625007211561814
 _LOG2_3_DEN = 10**19
 
 
-def _record(n: int, lcm_value: int, bits: int, lcm_digits: int, psi: float) -> BoundsRecord:
-    # 2^k <= x exactly when x has more than k bits (bits = x.bit_length()).
-    # With 2^k <= 3^n, a value of at most k bits is below 3^n; only a
-    # longer one is compared with 3^n itself.
+def _record(n: int, lcm_value: int, lcm_digits: int, psi: float) -> BoundsRecord:
+    # 2^k <= x exactly when x has more than k bits. With 2^k <= 3^n, a
+    # value of at most k bits is below 3^n; only a longer one is compared
+    # with 3^n itself.
+    bits = lcm_value.bit_length()
     return BoundsRecord(
         n,
         lcm_digits,
@@ -121,7 +122,7 @@ def check_bounds(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> BoundsRecord:
     require_int(n, 1, "check_bounds requires an int n >= 1, got {!r}")
     factorization = lcm_range(n, caps=caps)
     value = factorization.expand()
-    return _record(n, value, value.bit_length(), decimal_digits(value), factorization.log_value())
+    return _record(n, value, decimal_digits(value), factorization.log_value())
 
 
 # Every finite double is an integer multiple of 2**-1074.
@@ -161,8 +162,8 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
     multiplication. Everything else a record needs is kept the same way,
     so a sample costs little beyond that multiplication:
 
-    * the bit length, and the digit count, which digits.decimal_digits
-      takes from the bit length or the top bits of the running lcm;
+    * the digit count, which digits.decimal_digits takes from the bit
+      length or the top bits of the running lcm;
     * psi, the sum of the float terms e*ln(p), held exactly as an integer
       in units of 2**-1074 (every finite double is a whole number of
       them); one correctly rounded division gives the same float as
@@ -171,9 +172,10 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
       engine._range_exponent, so no state is kept per prime.
 
     The running lcm, and with it psi, changes only at a prime power, so
-    the bit length, the digit count and the 1100-bit division into psi
-    are redone only at a sample that some prime power has reached since
-    the last one; every other sample reuses them.
+    the digit count and the 1100-bit division into psi are redone only at
+    a sample that some prime power has reached since the last one; every
+    other sample reuses them. A record reads the bit length off the
+    running lcm itself, which costs the same at every size.
     """
     require_int(step, 1, "psi_table requires step >= 1, got {!r}")
     require_int(max_n, 1, "psi_table requires max_n >= 1, got {!r}")
@@ -189,7 +191,6 @@ def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
     psi_units = 0
     running = 1
     gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
-    bits = 1  # running.bit_length()
     digits = 1
     psi = 0.0  # psi_units as a float
     for n in range(1, max_n + 1):
@@ -203,7 +204,6 @@ def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
             if gained > 1:
                 running *= gained
                 gained = 1
-                bits = running.bit_length()
                 digits = decimal_digits(running)
                 psi = psi_units / _UNITS_PER_ONE
-            yield _record(n, running, bits, digits, psi)
+            yield _record(n, running, digits, psi)

@@ -18,7 +18,7 @@ import os
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import ResourceCapError
+from .errors import DomainError, ResourceCapError, require_int
 
 __all__ = ["DEFAULT_CAPS", "ResourceCaps"]
 
@@ -38,15 +38,14 @@ CAP_FIELDS = (
 
 
 class ResourceCaps(namedtuple("_CapsFields", [f.name for f in CAP_FIELDS], defaults=[f.default for f in CAP_FIELDS])):
-    """Per-method feasibility caps; every way of building one refuses a negative cap."""
+    """Per-method feasibility caps; every way of building one refuses a cap that is not an int >= 0."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "ResourceCaps":
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if value < 0:
-                raise ValueError(f"resource cap {name} must be >= 0, got {value}")
+            require_int(value, 0, f"resource cap {name} must be an int >= 0, got {{!r}}")
         return self
 
     @classmethod
@@ -67,7 +66,7 @@ class ResourceCaps(namedtuple("_CapsFields", [f.name for f in CAP_FIELDS], defau
             try:
                 overrides[field.name] = int(raw)
             except ValueError as exc:
-                raise ValueError(f"{field.env} must be an integer, got {raw!r}") from exc
+                raise DomainError(f"{field.env} must be an integer, got {raw!r}") from exc
         return cls(**overrides)
 
 

@@ -181,13 +181,13 @@ class BinomialRow:
     Equality, hash and repr read only n and entries, which cannot be
     reassigned; entries is held as a tuple (any other iterable is copied
     into one), so a caller's list cannot change it under the cached folds.
-    entries must have n + 1 items, or the folds would answer for some
-    other row.
+    n must be an int >= 0 and entries must have n + 1 items, or the folds
+    would answer for some other row.
     """
 
     def __init__(self, n: int, entries: Iterable[int]):
         entries = tuple(entries)
-        if len(entries) != n + 1:
+        if len(entries) != require_int(n, 0, "BinomialRow requires an int n >= 0, got {!r}") + 1:
             raise DomainError(f"row {n} needs {n + 1} entries, got {len(entries)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)

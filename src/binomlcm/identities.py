@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import chain, pairwise, repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import VERDICTS, csv_row, decimal_str
@@ -76,6 +76,11 @@ class Theorem(Enum):
     T5 = "T5"
     TERMWISE = "TERMWISE"
     CHAIN = "CHAIN"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Theorem(value) for a value that is no member's id; the enum's own error is a bare ValueError.
+        raise DomainError(f"a theorem id is one of {', '.join(t.value for t in cls)}, got {value!r}")
 
 
 # Provenance labels carried on every report.
@@ -274,17 +279,19 @@ def verify_range(
 ) -> list:
     """One report per theorem and n in [first, last], never short-circuiting.
 
-    `theorems` is one id or a sequence of ids; the reports come grouped
-    by theorem in the order given, each group in increasing n. A single
-    incremental Pascal sweep serves every theorem, so a range costs the
-    same row work as building its last row once. When no selected
+    `theorems` is one id or a sequence of ids, and anything else is
+    refused with a DomainError before any row is built; the reports come
+    grouped by theorem in the order given, each group in increasing n.
+    A single incremental Pascal sweep serves every theorem, so a range
+    costs the same row work as building its last row once. When no selected
     theorem reads row n, rows are built only through last - 1.
 
     lcm(1..n), and lcm(1..n+1) for T2, are carried across the sweep from
     one sieve through last (last + 1 with T2), checked against the sieve
     cap once; a selection of only T4 and TERMWISE sieves nothing.
     """
-    theorems = [Theorem(t) for t in ([theorems] if isinstance(theorems, (Theorem, str)) else theorems)]
+    single = isinstance(theorems, (Theorem, str)) or not isinstance(theorems, Iterable)
+    theorems = [Theorem(t) for t in ([theorems] if single else theorems)]
     entries = [_REGISTRY[t] for t in theorems]
     if not entries:
         raise DomainError("no theorem selected")

@@ -30,7 +30,6 @@ prime-power boundaries and are banned from this module.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from math import isqrt
@@ -75,12 +74,16 @@ class Prime(int):
     Traceback (most recent call last):
         ...
     binomlcm.errors.DomainError: 6 is not prime
+    >>> Prime(7.0)
+    Traceback (most recent call last):
+        ...
+    binomlcm.errors.DomainError: a prime must be an int, got 7.0
     """
 
     __slots__ = ()
 
     def __new__(cls, value) -> "Prime":
-        v = operator.index(value)
+        v = require_int(value, None, "a prime must be an int, got {!r}")
         if v > PRIMALITY_CHECK_LIMIT:
             raise DomainError(
                 f"{v} exceeds the deterministic primality-check limit 2**32"

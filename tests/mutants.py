@@ -205,9 +205,10 @@ MUTANTS = [
         ("tests/test_engine.py::TestValuationRoute::test_isqrt_boundary_full_sieve",),
     ),
     Mutant(
-        "psi-table-bits-before-gain", "bounds.py",
-        "                running *= gained\n                gained = 1\n                bits = running.bit_length()\n",
-        "                bits = running.bit_length()\n                running *= gained\n                gained = 1\n",
+        # Counts the digits of the lcm at the last sample, not of the one the gained factors make.
+        "psi-table-digits-before-gain", "bounds.py",
+        "                running *= gained\n                gained = 1\n                digits = decimal_digits(running)\n",
+        "                digits = decimal_digits(running)\n                running *= gained\n                gained = 1\n",
         ("tests/test_bounds.py::TestPsiTable::test_matches_per_n_check_bounds",),
     ),
     Mutant(
@@ -231,7 +232,8 @@ MUTANTS = [
     ),
     Mutant(
         "row-length-unchecked", "engine.py",
-        '        if len(entries) != n + 1:\n            raise DomainError(f"row {n} needs {n + 1} entries, got {len(entries)}")\n',
+        '        if len(entries) != require_int(n, 0, "BinomialRow requires an int n >= 0, got {!r}") + 1:\n'
+        '            raise DomainError(f"row {n} needs {n + 1} entries, got {len(entries)}")\n',
         "",
         ("tests/test_engine.py::TestBinomialRow::test_entries_must_have_n_plus_one_items",),
     ),
@@ -300,6 +302,47 @@ MUTANTS = [
         "if isinstance(value, int) and not isinstance(value, bool) and",
         "if not isinstance(value, bool) and",
         ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error",),
+    ),
+    # Each int(...) below admits 2.0 as 2 and True as 1 past the one check.
+    Mutant(
+        "prime-check-sees-int", "valuation.py",
+        'require_int(value, None, "a prime',
+        'require_int(int(value), None, "a prime',
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[legendre-float-p]",
+         "tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[prime-bool]"),
+    ),
+    Mutant(
+        "caps-check-sees-int", "caps.py",
+        "require_int(value, 0,",
+        "require_int(int(value), 0,",
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[caps-float]",),
+    ),
+    Mutant(
+        "row-check-sees-int", "engine.py",
+        'require_int(n, 0, "BinomialRow',
+        'require_int(int(n), 0, "BinomialRow',
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[row-float-n]",
+         "tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[row-bool-n]"),
+    ),
+    Mutant(
+        "bench-n-check-sees-int", "bench.py",
+        "require_int(n, smallest,",
+        "require_int(int(n), smallest,",
+        # Each route refuses 5.0 itself, but only once n = 3000 is attested.
+        ("tests/test_bench.py::test_a_bad_n_or_reps_is_refused_before_any_route_is_called[float-n]",),
+    ),
+    Mutant(
+        "bench-reps-check-sees-int", "bench.py",
+        "require_int(reps, 3,",
+        "require_int(int(reps), 3,",
+        ("tests/test_bench.py::test_a_bad_n_or_reps_is_refused_before_any_route_is_called[float-reps]",),
+    ),
+    Mutant(
+        # An unknown theorem id gets the enum's own kind of error, a bare ValueError.
+        "theorem-id-bare-value-error", "identities.py",
+        'raise DomainError(f"a theorem id',
+        'raise ValueError(f"a theorem id',
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[verify-unknown-id]",),
     ),
     Mutant(
         "csv-flags-swapped", "digits.py",

@@ -1,9 +1,12 @@
-"""Every integer argument of the public functions refuses what is not an int.
+"""Every integer argument of the public API refuses what is not an int.
 
 A float n once ran on to an answer that is not exact, and a bool passed
-as the int it is to Python. errors.require_int is the one check; each
-case here calls a public function with one such argument and expects a
-DomainError that shows the value.
+as the int it is to Python. errors.require_int is the one check, for the
+functions' arguments, for the constructors Prime, PrimePowerFactorization
+(its keys), ResourceCaps and BinomialRow, and for bench's n list and
+reps. Each case here makes one such call and expects a DomainError that
+shows the value; verify_range's theorem ids, checked by the enum, are
+refused the same way.
 """
 
 import re
@@ -11,7 +14,12 @@ import re
 import pytest
 
 from binomlcm import (
+    BinomialRow,
     DomainError,
+    Prime,
+    PrimePowerFactorization,
+    ResourceCaps,
+    bench_row_methods,
     binomial_valuation,
     check_bounds,
     iter_binomial_rows,
@@ -60,6 +68,27 @@ CASES = [
     # lcm_sequence refused these already; the check is now shared.
     ("lcm-sequence-bool", lambda: lcm_sequence([True]), "True"),
     ("lcm-sequence-float", lambda: lcm_sequence([4, 2.0]), "2.0"),
+    # Without it these raised a TypeError from operator.index, or took True as 1.
+    ("legendre-float-p", lambda: legendre_factorial_valuation(10, 2.0), "2.0"),
+    ("factorization-float-key", lambda: PrimePowerFactorization({2.0: 1}), "2.0"),
+    ("prime-bool", lambda: Prime(True), "True"),
+    # Without it a cap of 1.5 or True was kept, 9.5 was reported as the cap,
+    # and a variable's bad value was a bare ValueError.
+    ("caps-float", lambda: ResourceCaps(sieve_limit=1.5), "1.5"),
+    ("caps-bool", lambda: ResourceCaps(full_row_n=True), "True"),
+    ("caps-float-before-work", lambda: lcm_range(10, caps=ResourceCaps(sieve_limit=9.5)), "9.5"),
+    ("caps-env-not-an-int", lambda: ResourceCaps.from_env({"BINOMLCM_MAX_SIEVE": "1.5"}), "'1.5'"),
+    # Without it these built rows that do not exist, the float one failing at its lcm.
+    ("row-bool-n", lambda: BinomialRow(True, (1, 1)), "True"),
+    ("row-negative-n", lambda: BinomialRow(-1, ()), "-1"),
+    ("row-float-n", lambda: BinomialRow(2.0, (1, 2, 1)).lcm, "2.0"),
+    # Without it these attested n = 3000 first, then failed.
+    ("bench-float-reps", lambda: bench_row_methods([3000], 3.5), "3.5"),
+    ("bench-float-n", lambda: bench_row_methods([3000, 5.0], 3), "5.0"),
+    # An id that is not a theorem's raised the enum's ValueError, or a TypeError for 5.
+    ("verify-unknown-id", lambda: verify_range("T9", 1, 2), "'T9'"),
+    ("verify-none-id", lambda: verify_range(["T1", None], 1, 2), "None"),
+    ("verify-int-ids", lambda: verify_range(5, 1, 2), "5"),
 ]
 
 

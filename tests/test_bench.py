@@ -133,6 +133,19 @@ class TestRangeBench:
             )
 
 
+@pytest.mark.parametrize("ns, reps", [([3000, 5.0], 3), ([3000], 3.5)], ids=["float-n", "float-reps"])
+def test_a_bad_n_or_reps_is_refused_before_any_route_is_called(monkeypatch, ns, reps):
+    calls = []
+
+    def spy(name, route):
+        return lambda n, caps: calls.append((name, n)) or route(n, caps)
+
+    monkeypatch.setattr(bench, "ROW_ROUTES", {name: spy(name, route) for name, route in bench.ROW_ROUTES.items()})
+    with pytest.raises(DomainError):
+        bench_row_methods(ns, reps)
+    assert calls == []
+
+
 _CAP_FIELDS = [f.name for f in CAP_FIELDS]
 
 

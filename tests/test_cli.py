@@ -271,7 +271,7 @@ class TestBench:
         monkeypatch.setattr(bench_mod, "lcm_range", lambda n, caps: timed.append(n) or 1)
         code, out, err = invoke(capsys, "bench", "range", "--ns", "5,0", "--reps", "3")
         assert code == 2 and out == ""
-        assert "range_lcm bench requires n >= 1, got 0" in err
+        assert "range_lcm bench requires an int n >= 1, got 0" in err
         assert timed == []  # refused before n = 5 was attested or timed
 
 
@@ -317,12 +317,12 @@ class TestUsageAndCaps:
     @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold"])
     def test_negative_cap_flag_refused(self, capsys, flag):
         code, out, err = invoke(capsys, "lcm-range", "10", flag, "-1")
-        assert code == 2 and out == "" and "must be >= 0, got -1" in err
+        assert code == 2 and out == "" and "must be an int >= 0, got -1" in err
 
     def test_negative_env_cap_refused(self, capsys, monkeypatch):
         monkeypatch.setenv("BINOMLCM_MAX_ROW", "-5")
         code, out, err = invoke(capsys, "row-lcm", "4")
-        assert code == 2 and out == "" and "full_row_n must be >= 0, got -5" in err
+        assert code == 2 and out == "" and "full_row_n must be an int >= 0, got -5" in err
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("BINOMLCM_MAX_ROW", "many")

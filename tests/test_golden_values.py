@@ -70,7 +70,7 @@ def test_flags_at_the_exact_powers(n):
     # Right at and just past each power, where a bit-length estimate
     # alone could not decide the 3^n flag.
     def record(value):
-        return _record(n, value, value.bit_length(), 1, 0.0)
+        return _record(n, value, 1, 0.0)
 
     assert record(2 ** (n - 1)).lower_2nm1_holds
     assert not record(2 ** (n - 1) - 1).lower_2nm1_holds

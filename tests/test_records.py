@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from binomlcm import (
     BenchRecord,
+    DomainError,
     EquivalenceChainReport,
     IdentityReport,
     ResourceCaps,
@@ -27,6 +28,8 @@ from binomlcm import (
 INVALID = [
     pytest.param(ResourceCaps(), "full_row_n", -1, id="caps-negative"),
     pytest.param(ResourceCaps(), "sieve_limit", -5, id="caps-negative-first"),
+    pytest.param(ResourceCaps(), "fold_range_n", 1.5, id="caps-float"),
+    pytest.param(ResourceCaps(), "full_row_n", True, id="caps-bool"),
 ]
 
 # (a report, a field, a value for it, the verdict of the report so built)
@@ -128,7 +131,7 @@ def test_verdicts_are_not_fields():
 
 def test_caps_replace_and_from_env_go_through_the_check():
     assert ResourceCaps().replace(full_row_n=7).full_row_n == 7
-    with pytest.raises(ValueError, match="resource cap fold_range_n must be >= 0, got -2"):
+    with pytest.raises(DomainError, match="resource cap fold_range_n must be an int >= 0, got -2"):
         ResourceCaps.from_env({"BINOMLCM_MAX_FOLD": "-2"})
     with pytest.raises(ValueError):
         ResourceCaps().replace(no_such_cap=1)

@@ -43,7 +43,7 @@ class TestPrime:
             Prime(2**32 + 15)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             Prime(7.0)
 
     def test_repr(self):
