@@ -20,7 +20,7 @@ import time
 from enum import Enum
 from functools import partial
 from math import ceil
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
 from .digits import FLAGS, csv_row, decimal_digits
@@ -89,10 +89,12 @@ def _elapsed_ns(fn, n: int) -> int:
 
 
 def _bench_task(task, routes, caps, methods, ns, reps, smallest) -> list[BenchRecord]:
+    if not isinstance(ns, Iterable):
+        raise DomainError(f"{task.value} bench requires an iterable of n, got {ns!r}")
+    # Read once, into a list, so an iterator of n serves as a list does.
+    ns = [require_int(n, smallest, f"{task.value} bench requires an int n >= {smallest}, got {{!r}}") for n in ns]
     if not ns:
         raise DomainError("no n to bench: the n list is empty")
-    for n in ns:
-        require_int(n, smallest, f"{task.value} bench requires an int n >= {smallest}, got {{!r}}")
     require_int(reps, 3, "reps must be an int >= 3, got {!r}")
     if methods is None:
         methods = {m: partial(route, caps=caps) for m, route in routes.items()}

@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
+from .caps import DEFAULT_CAPS, ResourceCaps
 from .digits import FLAGS, VERDICTS, decimal_digits
 from .engine import _range_exponent, lcm_range, prime_power_bases
 from .errors import DomainError, require_int
@@ -150,8 +150,10 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
     """Records at n = step, 2*step, ..., <= max_n, built cumulatively and yielded as made.
 
     Every argument is checked at the call, before the first record is
-    asked for: a step below 1, a max_n below 1, a step above max_n (no
-    sample, a DomainError as an empty verify range is) and the sieve cap.
+    asked for: a step below 1, a max_n below 1 and a step above max_n (no
+    sample, a DomainError as an empty verify range is). The prime-power
+    table is built at the call too, by engine.prime_power_bases, whose
+    sieve refuses a max_n over the sieve cap as every sieving route does.
     No record is kept once yielded, so a sweep holds the prime-power
     table and the running lcm, whatever max_n is.
 
@@ -181,19 +183,17 @@ def iter_psi_table(max_n: int, step: int = 1, *, caps: ResourceCaps = DEFAULT_CA
     require_int(max_n, 1, "psi_table requires max_n >= 1, got {!r}")
     if step > max_n:
         raise DomainError(f"psi_table has no sample: step {step} > max_n {max_n}")
-    check_cap(max_n, caps.sieve_limit, "psi table max_n")
-    return _psi_records(max_n, step)
+    return _psi_records(prime_power_bases(max_n, caps=caps), step)
 
 
-def _psi_records(max_n: int, step: int) -> Iterator[BoundsRecord]:
-    # The sweep of iter_psi_table, whose arguments are already checked.
-    bases = prime_power_bases(max_n)
+def _psi_records(bases: list[int], step: int) -> Iterator[BoundsRecord]:
+    # The sweep of iter_psi_table over n = 1..len(bases) - 1, from its checked arguments.
     psi_units = 0
     running = 1
     gained = 1  # factors of lcm(1..n) since the last sample, multiplied in at the next
     digits = 1
     psi = 0.0  # psi_units as a float
-    for n in range(1, max_n + 1):
+    for n in range(1, len(bases)):
         p = bases[n]
         if p > 1:  # n = p^e
             gained *= p

@@ -39,6 +39,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
+from .errors import require_int
+
 __all__ = ["decimal_digits", "decimal_str"]
 
 # A flag's text, indexed by the flag (False == 0, True == 1).
@@ -69,8 +71,8 @@ def csv_row(values: Iterable) -> list[str]:
 
 
 def decimal_digits(x: int) -> int:
-    """Exact decimal digit count of ``abs(x)``; 1 for 0."""
-    x = abs(x) or 1
+    """Exact decimal digit count of ``abs(x)``, for an int x; 1 for 0."""
+    x = abs(require_int(x, None, "decimal_digits requires an int, got {!r}")) or 1
     bits = x.bit_length()
     digits = _digits_at_least(bits)
     # The count is at most floor(bits * log10(2)) + 1; when that equals
@@ -157,8 +159,8 @@ def bracket_digit_count(lo: int, hi: int, k: int) -> int | None:
 
 
 def decimal_str(x: int) -> str:
-    """``str(x)`` for integers of any size, whatever the digit limit."""
-    if x.bit_length() <= _STR_MAX_BITS:
+    """``str(x)`` for an int x of any size, whatever the digit limit."""
+    if require_int(x, None, "decimal_str requires an int, got {!r}").bit_length() <= _STR_MAX_BITS:
         return str(x)
     return str(_to_decimal(x))
 

@@ -28,7 +28,10 @@ lcm(1..m-1) otherwise (iter_range_lcms).
 Primes come from one bytearray sieve, _primes_upto, read out into one
 array('I'), four bytes per prime and no int object: lcm_range,
 prime_power_bases and row_lcm_valuation read it directly, and
-sieve_primes wraps its output as Prime for the API. A
+sieve_primes wraps its output as Prime for the API. Each of them hands
+the sieve its caps, and the sieve is the one place that checks the
+sieve cap: a limit over it is refused there, before anything is
+allocated, with "sieve limit N exceeds the configured cap C". A
 PrimePowerFactorization holds its primes in one array('I') and the
 exponents of its first primes in a tuple, every later prime having
 exponent 1, with no (p, e) pair or dict per prime. Each prime a route
@@ -236,15 +239,19 @@ class BinomialRow:
         return iter(self.entries)
 
 
-def _primes_upto(limit: int) -> array:
+def _primes_upto(limit: int, caps: ResourceCaps) -> array:
     """All primes <= limit in one array('I'), increasing. Empty for limit < 2.
 
-    A bytearray sieve over the odd numbers only (flags[i] stands for
-    2i + 1), read out by compress straight into the array: reading out
-    costs one transient int per candidate, so skipping the evens halves
-    it, and the array keeps four bytes per prime. No domain or cap
-    check: callers make those first.
+    The one check of the sieve cap: every route that sieves comes here,
+    and a limit that is not an int >= 0 or is over caps.sieve_limit is
+    refused before anything is allocated, so a caller checks only its
+    own argument. A bytearray sieve over the odd numbers only (flags[i]
+    stands for 2i + 1), read out by compress straight into the array:
+    reading out costs one transient int per candidate, so skipping the
+    evens halves it, and the array keeps four bytes per prime.
     """
+    require_int(limit, 0, "limit must be a nonnegative integer, got {!r}")
+    check_cap(limit, caps.sieve_limit, "sieve limit")
     if limit < 2:
         return array("I")
     flags = bytearray([1]) * ((limit + 1) // 2)
@@ -261,9 +268,7 @@ def _primes_upto(limit: int) -> array:
 
 def sieve_primes(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[Prime]:
     """All primes <= limit, increasing, each a Prime. Empty for limit < 2."""
-    require_int(limit, 0, "limit must be a nonnegative integer, got {!r}")
-    check_cap(limit, caps.sieve_limit, "sieve limit")
-    return list(map(Prime._trusted, _primes_upto(limit)))
+    return list(map(Prime._trusted, _primes_upto(limit, caps)))
 
 
 def _range_exponent(p: int, n: int) -> int:
@@ -283,21 +288,22 @@ def lcm_range(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowerFactori
     to the square root go through _range_exponent and are stored.
     """
     require_int(n, 1, "lcm_range requires an int n >= 1, got {!r}")
-    check_cap(n, caps.sieve_limit, "sieve limit")
-    primes = _primes_upto(n)
+    primes = _primes_upto(n, caps)
     split = bisect_right(primes, math.isqrt(n))
     return PrimePowerFactorization._trusted(primes, map(_range_exponent, primes[:split], repeat(n)))
 
 
-def prime_power_bases(limit: int) -> list[int]:
+def prime_power_bases(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> list[int]:
     """base[m] = p when m = p^a (a >= 1) is a prime power, else 1, for 0 <= m <= limit.
 
     lcm(1..m) = lcm(1..m-1) * base[m]: the range lcm gains the factor p
-    exactly at the powers of p. The primes come from _primes_upto; their
-    powers are walked by repeated multiplication.
+    exactly at the powers of p. The primes come from _primes_upto, which
+    checks limit before the table is allocated; their powers are walked
+    by repeated multiplication.
     """
+    primes = _primes_upto(limit, caps)
     base = [1] * (limit + 1)
-    for p in _primes_upto(limit):
+    for p in primes:
         q = p
         while q <= limit:
             base[q] = p
@@ -310,10 +316,9 @@ def iter_range_lcms(limit: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> Iterato
 
     One sieve for the whole range, then one small multiplication per m
     that is a prime power; every other step yields the previous value.
+    The sieve checks limit and the sieve cap, at the first next().
     """
-    require_int(limit, 0, "limit must be a nonnegative integer, got {!r}")
-    check_cap(limit, caps.sieve_limit, "sieve limit")
-    yield from accumulate(prime_power_bases(limit), mul)
+    yield from accumulate(prime_power_bases(limit, caps=caps), mul)
 
 
 def lcm_sequence(values: Iterable[int]) -> int:
@@ -449,8 +454,7 @@ def row_lcm_valuation(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> PrimePowe
     materialization stops being feasible.
     """
     require_int(n, 0, "row_lcm_valuation requires an int n >= 0, got {!r}")
-    check_cap(n, caps.sieve_limit, "sieve limit")
-    return PrimePowerFactorization._trusted(*_row_exponents(n, _primes_upto(n)))
+    return PrimePowerFactorization._trusted(*_row_exponents(n, _primes_upto(n, caps)))
 
 
 # name -> route(n, caps), for `row-lcm --method` and `bench row`. Each

@@ -339,11 +339,13 @@ def chain_range(first: int, last: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> 
 
 def verify_nair(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> IdentityReport:
     """T1 at n: weighted-row fold against the range factorization."""
+    require_int(n, 1, "verify_nair requires an int n >= 1, got {!r}")
     return verify_range(Theorem.T1, n, n, caps=caps)[0]
 
 
 def equivalence_chain(n: int, *, caps: ResourceCaps = DEFAULT_CAPS) -> EquivalenceChainReport:
     """All four chained quantities at n, with their pairwise equality."""
+    require_int(n, 1, "equivalence_chain requires an int n >= 1, got {!r}")
     return verify_range(Theorem.CHAIN, n, n, caps=caps)[0]
 
 

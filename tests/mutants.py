@@ -112,8 +112,8 @@ MUTANTS = [
     Mutant(
         # A generator function runs none of its body, the checks included, until the first next().
         "psi-table-checks-lazy", "bounds.py",
-        "    return _psi_records(max_n, step)\n",
-        "    yield from _psi_records(max_n, step)\n",
+        "    return _psi_records(",
+        "    yield from _psi_records(",
         ("tests/test_bounds.py::TestIterPsiTable::test_every_check_raises_at_the_call",),
     ),
     Mutant(
@@ -291,11 +291,21 @@ MUTANTS = [
         ("tests/test_records.py::test_every_way_to_build_refuses_an_inconsistent_record",),
     ),
     Mutant(
-        # The sieve cap is the valuation route's only cap, and admits n itself.
+        # The sieve cap is the valuation route's only cap, checked by the
+        # sieve, and admits n itself.
         "valuation-sieve-cap-one-short", "engine.py",
-        'check_cap(n, caps.sieve_limit, "sieve limit")\n    return PrimePowerFactorization._trusted(*_row_exponents',
-        'check_cap(n + 1, caps.sieve_limit, "sieve limit")\n    return PrimePowerFactorization._trusted(*_row_exponents',
+        'check_cap(limit, caps.sieve_limit, "sieve limit")',
+        'check_cap(limit + 1, caps.sieve_limit, "sieve limit")',
         ("tests/test_engine.py::TestRowLcmRoutes::test_valuation_cap",),
+    ),
+    Mutant(
+        # The sieve is the one check of the sieve cap: no route restates it.
+        "sieve-cap-check-deleted", "engine.py",
+        '    check_cap(limit, caps.sieve_limit, "sieve limit")\n',
+        "",
+        ("tests/test_engine.py::TestSieve::test_every_route_that_sieves_is_refused_by_the_sieve[30-sieve_primes]",
+         "tests/test_engine.py::TestSieve::test_every_route_that_sieves_is_refused_by_the_sieve[30-iter_psi_table]",
+         "tests/test_engine.py::TestSieve::test_every_route_that_sieves_is_refused_by_the_sieve[30-verify_range-T2]"),
     ),
     Mutant(
         "require-int-admits-floats", "errors.py",
@@ -336,6 +346,27 @@ MUTANTS = [
         "require_int(reps, 3,",
         "require_int(int(reps), 3,",
         ("tests/test_bench.py::test_a_bad_n_or_reps_is_refused_before_any_route_is_called[float-reps]",),
+    ),
+    Mutant(
+        # The checks use up the n, and the attestation pass finds none left.
+        "bench-ns-checked-not-listed", "bench.py",
+        "    ns = [require_int(n, smallest,",
+        "    [require_int(n, smallest,",
+        ("tests/test_bench.py::test_an_iterator_of_n_benches_as_its_list_does[range]",),
+    ),
+    Mutant(
+        "digits-check-sees-int", "digits.py",
+        'require_int(x, None, "decimal_digits',
+        'require_int(int(x), None, "decimal_digits',
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[digits-float]",
+         "tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[digits-bool]"),
+    ),
+    Mutant(
+        "decimal-str-check-sees-int", "digits.py",
+        'require_int(x, None, "decimal_str',
+        'require_int(int(x), None, "decimal_str',
+        ("tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[decimal-str-float]",
+         "tests/test_arguments.py::test_a_value_that_is_not_an_int_is_a_domain_error[decimal-str-bool]"),
     ),
     Mutant(
         # An unknown theorem id gets the enum's own kind of error, a bare ValueError.

@@ -3,10 +3,10 @@
 A float n once ran on to an answer that is not exact, and a bool passed
 as the int it is to Python. errors.require_int is the one check, for the
 functions' arguments, for the constructors Prime, PrimePowerFactorization
-(its keys), ResourceCaps and BinomialRow, and for bench's n list and
-reps. Each case here makes one such call and expects a DomainError that
-shows the value; verify_range's theorem ids, checked by the enum, are
-refused the same way.
+(its keys), ResourceCaps and BinomialRow, for the digit functions, and
+for bench's n list and reps. Each case here makes one such call and
+expects a DomainError that shows the value; verify_range's theorem ids,
+checked by the enum, are refused the same way.
 """
 
 import re
@@ -22,6 +22,9 @@ from binomlcm import (
     bench_row_methods,
     binomial_valuation,
     check_bounds,
+    decimal_digits,
+    decimal_str,
+    equivalence_chain,
     iter_binomial_rows,
     kummer_binomial_valuation,
     lcm_range,
@@ -34,9 +37,10 @@ from binomlcm import (
     row_lcm_valuation,
     sieve_primes,
     termwise_identity,
+    verify_nair,
     verify_range,
 )
-from binomlcm.engine import iter_range_lcms
+from binomlcm.engine import iter_range_lcms, prime_power_bases
 
 CASES = [
     # Without the check these returned 8.0, 3, 1, reports at n = 2 and 3,
@@ -89,6 +93,16 @@ CASES = [
     ("verify-unknown-id", lambda: verify_range("T9", 1, 2), "'T9'"),
     ("verify-none-id", lambda: verify_range(["T1", None], 1, 2), "None"),
     ("verify-int-ids", lambda: verify_range(5, 1, 2), "5"),
+    # Without it the table of 2.5 raised a TypeError, and bench's n list
+    # one from iterating an int.
+    ("bases-float-limit", lambda: prime_power_bases(2.5), "2.5"),
+    ("bench-n-not-iterable", lambda: bench_row_methods(5, 3), "5"),
+    # Without it the floats raised an AttributeError, and True was counted
+    # or printed as the int it is.
+    ("digits-float", lambda: decimal_digits(2.5), "2.5"),
+    ("digits-bool", lambda: decimal_digits(True), "True"),
+    ("decimal-str-float", lambda: decimal_str(1.5), "1.5"),
+    ("decimal-str-bool", lambda: decimal_str(True), "True"),
 ]
 
 
@@ -104,3 +118,11 @@ def test_row_routes_refuse_what_is_not_an_int(route, n):
     # The message is the one a negative n gets, and shows the value given.
     with pytest.raises(DomainError, match=f"^{re.escape(f'{route.__name__} requires an int n >= 0, got {n!r}')}$"):
         route(n)
+
+
+@pytest.mark.parametrize("check", [verify_nair, equivalence_chain])
+@pytest.mark.parametrize("n", [0, 3.0, True])
+def test_single_n_checks_name_themselves(check, n):
+    # Not verify_range's "from": the caller passed one n to this function.
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{check.__name__} requires an int n >= 1, got {n!r}')}$"):
+        check(n)

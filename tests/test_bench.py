@@ -149,6 +149,18 @@ def test_a_bad_n_or_reps_is_refused_before_any_route_is_called(monkeypatch, ns, 
 _CAP_FIELDS = [f.name for f in CAP_FIELDS]
 
 
+def _untimed(records):
+    return [r._replace(median_ns=0, p90_ns=0) for r in records]
+
+
+@pytest.mark.parametrize("runner, count", [(bench_row_methods, 6), (bench_range_methods, 4)], ids=["row", "range"])
+def test_an_iterator_of_n_benches_as_its_list_does(runner, count):
+    # The n are read once, so the checks do not use an iterator up.
+    expected = _untimed(runner([5, 9], 3))
+    assert len(expected) == count
+    assert _untimed(runner(iter([5, 9]), 3)) == expected
+
+
 def _within_own_caps(route, n, caps):
     try:
         route(n, caps)

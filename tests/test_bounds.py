@@ -169,7 +169,7 @@ class TestIterPsiTable:
             (10, 0, DEFAULT_CAPS, DomainError, r"^psi_table requires step >= 1, got 0$"),
             (0, 1, DEFAULT_CAPS, DomainError, r"^psi_table requires max_n >= 1, got 0$"),
             (10, 11, DEFAULT_CAPS, DomainError, r"^psi_table has no sample: step 11 > max_n 10$"),
-            (100, 1, DEFAULT_CAPS.replace(sieve_limit=99), ResourceCapError, "psi table max_n"),
+            (100, 1, DEFAULT_CAPS.replace(sieve_limit=99), ResourceCapError, r"^sieve limit 100 exceeds the configured cap 99$"),
         ],
     )
     def test_every_check_raises_at_the_call(self, max_n, step, caps, error, message):

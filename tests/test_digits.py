@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binomlcm import digits
+from binomlcm import DEFAULT_CAPS, digits
 from binomlcm.cli import run
 from binomlcm.digits import _power_of_ten_bracket, bracket_product, decimal_digits, decimal_str
 from binomlcm.engine import PrimePowerFactorization, _primes_upto, lcm_range, row_lcm_valuation
@@ -132,7 +132,7 @@ def test_cli_leaves_the_digit_limit_alone(capsys, command):
 
 # --- digit counts from integer brackets --------------------------------------
 
-PRIMES = _primes_upto(2000)
+PRIMES = _primes_upto(2000, DEFAULT_CAPS)
 
 factorizations = st.dictionaries(st.sampled_from(PRIMES), st.integers(0, 300), max_size=40).map(
     PrimePowerFactorization

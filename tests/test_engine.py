@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DEFAULT_CAPS,
     BinomialRow,
     DomainError,
     Prime,
@@ -19,6 +20,7 @@ from binomlcm import (
     ResourceCaps,
     binomial_row,
     iter_binomial_rows,
+    iter_psi_table,
     lcm_range,
     lcm_sequence,
     max_binomial_valuation,
@@ -26,9 +28,18 @@ from binomlcm import (
     row_lcm_naive,
     row_lcm_valuation,
     sieve_primes,
+    verify_range,
 )
 from binomlcm import engine
-from binomlcm.engine import _fold_half_row_lcm, _fold_row_lcm, _fold_weighted_lcm, _lcm_fold, _primes_upto
+from binomlcm.engine import (
+    _fold_half_row_lcm,
+    _fold_row_lcm,
+    _fold_weighted_lcm,
+    _lcm_fold,
+    _primes_upto,
+    iter_range_lcms,
+    prime_power_bases,
+)
 from helpers import (
     brute_range_lcm,
     brute_row,
@@ -40,6 +51,20 @@ from helpers import (
 )
 
 TIGHT_CAPS = ResourceCaps(sieve_limit=100, full_row_n=10, fold_range_n=50)
+
+# (entry point, call(n, caps), how far past n it sieves): every route that
+# sieves, each run to its end, so a lazy sweep sieves too.
+SIEVING_ROUTES = [
+    ("sieve_primes", lambda n, caps: sieve_primes(n, caps=caps), 0),
+    ("lcm_range", lambda n, caps: lcm_range(n, caps=caps), 0),
+    ("row_lcm_farhi", lambda n, caps: row_lcm_farhi(n, caps=caps), 1),
+    ("row_lcm_valuation", lambda n, caps: row_lcm_valuation(n, caps=caps), 0),
+    ("iter_range_lcms", lambda n, caps: list(iter_range_lcms(n, caps=caps)), 0),
+    ("prime_power_bases", lambda n, caps: prime_power_bases(n, caps=caps), 0),
+    ("iter_psi_table", lambda n, caps: list(iter_psi_table(n, caps=caps)), 0),
+    ("verify_range-T1", lambda n, caps: verify_range("T1", n, n, caps=caps), 0),
+    ("verify_range-T2", lambda n, caps: verify_range("T2", n, n, caps=caps), 1),
+]
 
 
 class TestSieve:
@@ -58,6 +83,16 @@ class TestSieve:
         with pytest.raises(ResourceCapError):
             sieve_primes(101, caps=TIGHT_CAPS)
 
+    @pytest.mark.parametrize("call, reach", [r[1:] for r in SIEVING_ROUTES], ids=[r[0] for r in SIEVING_ROUTES])
+    @pytest.mark.parametrize("cap", [1, 30])
+    def test_every_route_that_sieves_is_refused_by_the_sieve(self, call, reach, cap):
+        # One check, in _primes_upto, with one message: a sieve to the cap
+        # itself runs, and one past it is refused whatever route asked.
+        caps = ResourceCaps(sieve_limit=cap)
+        call(cap - reach, caps)
+        with pytest.raises(ResourceCapError, match=f"^sieve limit {cap + 1} exceeds the configured cap {cap}$"):
+            call(cap + 1 - reach, caps)
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             sieve_primes(-1)
@@ -65,7 +100,7 @@ class TestSieve:
     def test_plain_int_sieve_matches_trial_division(self):
         primes = [v for v in range(2001) if trial_is_prime(v)]
         for limit in range(0, 2001):
-            out = list(_primes_upto(limit))
+            out = list(_primes_upto(limit, DEFAULT_CAPS))
             assert out == [p for p in primes if p <= limit], limit
             assert all(type(p) is int for p in out)
 
@@ -130,7 +165,7 @@ class TestPrimePowerFactorization:
 
 # 4294967291 is the largest prime below 2**32: a typecode too narrow to
 # hold every Prime fails on it.
-_SOME_PRIMES = [*_primes_upto(1000), 65_521, 2**31 - 1, 4_294_967_291]
+_SOME_PRIMES = [*_primes_upto(1000, DEFAULT_CAPS), 65_521, 2**31 - 1, 4_294_967_291]
 
 
 @st.composite
@@ -244,7 +279,7 @@ class TestLcmRange:
             running = math.lcm(running, n)
             assert lcm_range(n).expand() == running
 
-    @given(st.sampled_from(_primes_upto(89)), st.sampled_from([-1, 0, 1]))
+    @given(st.sampled_from(_primes_upto(89, DEFAULT_CAPS)), st.sampled_from([-1, 0, 1]))
     @settings(deadline=None, max_examples=60)
     def test_matches_fold_oracle_around_prime_squares(self, p, offset):
         # At n = p^2 the prime p = isqrt(n) is the last one whose exponent
@@ -504,7 +539,7 @@ class TestValuationRoute:
 
     def test_isqrt_boundary_full_sieve(self):
         # n in {p^2 - 1, p^2, p^2 + 1} moves p across the isqrt(n) split.
-        for p in _primes_upto(100):
+        for p in _primes_upto(100, DEFAULT_CAPS):
             for n in (p * p - 1, p * p, p * p + 1):
                 assert row_lcm_valuation(n) == _valuation_reference(n, sieve_primes(n)), n
 
@@ -515,9 +550,9 @@ class TestValuationRoute:
         # primes <= n, and every prime <= n that divides n + 1, which
         # _row_exponents finds in the sieve's array; row_lcm_valuation
         # still finds the split itself.
-        primes = _primes_upto(1000**2 + 1)
-        small = _primes_upto(1001)  # n + 1 <= 1000**2 + 2 < 1009**2
-        for p in _primes_upto(1000):
+        primes = _primes_upto(1000**2 + 1, DEFAULT_CAPS)
+        small = _primes_upto(1001, DEFAULT_CAPS)  # n + 1 <= 1000**2 + 2 < 1009**2
+        for p in _primes_upto(1000, DEFAULT_CAPS):
             for n in (p * p - 1, p * p, p * p + 1):
                 upto_n = primes[: bisect_right(primes, n)]
                 m = n + 1
@@ -529,8 +564,8 @@ class TestValuationRoute:
                 divisors = [q for q in factors if 1 < q <= n]
                 window = array("I", sorted({*upto_n[: bisect_right(upto_n, p + 200)], *upto_n[-30:], *divisors}))
 
-                def narrowed(limit, n=n, window=window):
-                    assert limit == n
+                def narrowed(limit, caps, n=n, window=window):
+                    assert (limit, caps) == (n, DEFAULT_CAPS)
                     return window
 
                 monkeypatch.setattr(engine, "_primes_upto", narrowed)

@@ -22,7 +22,7 @@ from binomlcm import (
     verify_nair,
     verify_range,
 )
-from binomlcm import InternalConsistencyError, ResourceCapError, ResourceCaps, engine, identities, lcm_range
+from binomlcm import DEFAULT_CAPS, InternalConsistencyError, ResourceCapError, ResourceCaps, engine, identities, lcm_range
 from binomlcm.cli import run
 from binomlcm.engine import BinomialRow, iter_range_lcms, prime_power_bases, row_quotient
 from binomlcm.identities import _termwise_rhs
@@ -437,7 +437,7 @@ def test_sweep_sieves_once_and_rebuilds_no_range_lcm(monkeypatch):
     reports = verify_range(list(Theorem), 1, 200)
     assert len(reports) == 7 * 200
     assert all(r.holds if isinstance(r, IdentityReport) else r.all_equal for r in reports)
-    assert (len(sieves), len(ranges), tables, passes) == (0, 0, [(201,)], [(201,)])
+    assert (len(sieves), len(ranges), tables, passes) == (0, 0, [(201,)], [(201, DEFAULT_CAPS)])
 
 
 # (row, weighted, half) fold calls over verify_range(selection, 1, 200): each
@@ -505,7 +505,7 @@ def test_each_prime_route_runs_the_plain_int_sieve_once(monkeypatch, route, arg,
     result = fn(arg)
     if isinstance(result, GeneratorType):
         result = list(result)  # the sweep, and so its sieve, runs as records are read
-    assert (sieves, passes) == ([], [(limit,)])
+    assert (sieves, passes) == ([], [(limit, DEFAULT_CAPS)])
     if isinstance(result, binomlcm.PrimePowerFactorization):
         # Iteration makes each prime a Prime on the way out; the pairs
         # read the packed primes as they are.

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DEFAULT_CAPS,
     DomainError,
     Prime,
     binomial_valuation,
@@ -213,9 +214,9 @@ def _assert_row_exponents_match_the_dp(n):
     # array goes in and comes back unchanged, and the kept primes come out
     # as an array('I') beside a tuple with the exponent of each kept prime
     # up to isqrt(n) and none for those above it, whose exponent is 1.
-    primes = _primes_upto(n)
+    primes = _primes_upto(n, DEFAULT_CAPS)
     kept, exps = _row_exponents(n, primes)
-    assert primes == _primes_upto(n)
+    assert primes == _primes_upto(n, DEFAULT_CAPS)
     assert type(kept) is array and kept.typecode == "I" and type(exps) is tuple
     assert len(exps) == bisect_right(kept, math.isqrt(n))
     expected = [(p, e) for p in primes if (e := _max_borrows(n, p))]
@@ -262,7 +263,7 @@ def test_row_exponents_follow_farhi_for_every_n_below_20000():
         if spf[p] == p:
             for m in range(p * p, limit + 1, p):
                 spf[m] = min(spf[m], p)
-    primes = _primes_upto(limit)
+    primes = _primes_upto(limit, DEFAULT_CAPS)
     for n in range(limit):
         upto = primes[: bisect_right(primes, n)]
         divides = Counter()
