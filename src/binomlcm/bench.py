@@ -23,7 +23,7 @@ from math import ceil
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import FLAGS, csv_row, decimal_digits
+from .digits import FLAGS, csv_row, decimal_digits, json_str
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
 from .errors import DomainError, InternalConsistencyError, ResourceCapError, require_int
 
@@ -53,6 +53,13 @@ class BenchRecord(NamedTuple):
         return (
             f"{self.task.value} {self.method} n={self.n} reps={self.reps} "
             f"median={self.median_ns}ns p90={self.p90_ns}ns digits={self.digits} verified={FLAGS[self.verified]}"
+        )
+
+    def to_json_text(self) -> str:
+        return (
+            f'{{\n    "task": "{self.task.value}",\n    "method": {json_str(self.method)},\n    "n": {self.n},\n'
+            f'    "reps": {self.reps},\n    "median_ns": {self.median_ns},\n    "p90_ns": {self.p90_ns},\n'
+            f'    "digits": {self.digits},\n    "verified": {FLAGS[self.verified]}\n  }}'
         )
 
     def to_json_dict(self) -> dict:

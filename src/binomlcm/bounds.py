@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps
-from .digits import FLAGS, VERDICTS, decimal_digits
+from .digits import FLAGS, VERDICTS, decimal_digits, json_float
 from .engine import _range_exponent, lcm_range, prime_power_bases
 from .errors import DomainError, require_int
 
@@ -77,6 +77,14 @@ class BoundsRecord(NamedTuple):
         return (
             f"{n:>10} {lcm_digits:>11} {VERDICTS[lower_2nm1]:>8} "
             f"{(VERDICTS if n >= _LOWER_2N_FROM else _INFO)[lower_2n]:>6} {VERDICTS[upper_3n]:>6} {psi:>16.12g}"
+        )
+
+    def to_json_text(self) -> str:
+        n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = self
+        return (
+            f'{{\n    "n": {n},\n    "lcm_digits": {lcm_digits},\n    "holds_2nm1": {FLAGS[lower_2nm1]},\n'
+            f'    "holds_2n": {FLAGS[lower_2n]},\n    "holds_2n_required": {FLAGS[n >= _LOWER_2N_FROM]},\n'
+            f'    "holds_3n": {FLAGS[upper_3n]},\n    "psi_over_n": {json_float(psi)}\n  }}'
         )
 
     def to_json_dict(self) -> dict:

@@ -32,7 +32,7 @@ from itertools import islice
 
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, iter_psi_table
 from .caps import CAP_FIELDS, ResourceCaps
-from .digits import decimal_digits, decimal_str
+from .digits import decimal_digits, decimal_str, json_str
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
@@ -132,42 +132,31 @@ def _resolve_caps(args: argparse.Namespace) -> ResourceCaps:
     return ResourceCaps.from_env().replace(**{name: v for name, v in flags.items() if v is not None})
 
 
-# json and csv are imported by the format that writes them, so a run
-# loads only its own. A JSONEncoder with these separators encodes a list
-# of nonempty flat dicts (every record's to_json_dict()) with each member
-# laid out as json.dumps([...], indent=2) lays it out; without indent the
-# json module uses its C encoder. Between two records it puts _JSON_GLUE,
-# which _JSON_BREAK turns into indent=2's layout.
-_JSON_SEPARATORS = (",\n    ", ": ")
-# This text stands only between two records: a raw newline never occurs
-# inside an encoded string, and in a flat dict no member ends in "}" or
-# begins with "{" (each begins with a quoted key and ends in a scalar).
-_JSON_GLUE = "},\n    {"
-_JSON_BREAK = "\n  },\n  {\n    "
 # Records per stdout write. Every write to the text layer has a fixed
 # cost, and with unbuffered stdout (python -u, PYTHONUNBUFFERED) it is
 # also a system call; one write per record measurably slows a large report.
 _BATCH = 64
+# Factorization pairs per stdout write; a pair's JSON text is about 30 bytes.
+_PAIR_BATCH = 4096
 
 
 def _emit(args, records, csv_header, plain_header=None) -> int:
     """Print records in args.format; 1 if any record is not ok, else 0.
 
     A record (identity, chain, bounds or bench) has plain_line(),
-    to_csv_row(), to_json_dict() and ok. Records are written as they
+    to_csv_row(), to_json_text() and ok. Records are written as they
     come, in one pass, so records may be any iterable. They are taken
     _BATCH at a time, every record's ok is read, and each batch goes out
     as one string in one write, the header or the opening bracket in the
     first. The bytes are those of print(r.plain_line()) per record, of a
-    csv.writer's writerow per row, or of print(json.dumps(list, indent=2)):
-    JSON is one document, never held whole.
+    csv.writer's writerow per row, or of print(json.dumps(list, indent=2))
+    over the records' to_json_dict(): each to_json_text() is its object
+    at depth 1 of that layout, so JSON is one document, never held whole.
+    csv is imported only by the format that writes it.
     """
     fmt = args.format
     if fmt == "json":
-        import json
-
-        encode = json.JSONEncoder(separators=_JSON_SEPARATORS).encode
-        first, later, closing, empty = "[\n  {\n    ", ",\n  {\n    ", "\n]\n", "[]\n"
+        first, later, closing, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
     else:
         first = later = closing = ""
         if fmt == "csv":
@@ -186,8 +175,7 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
         for r in batch:
             ok &= r.ok
         if fmt == "json":
-            encoded = encode([r.to_json_dict() for r in batch])
-            text = encoded[2:-2].replace(_JSON_GLUE, _JSON_BREAK) + "\n  }"
+            text = ",\n  ".join([r.to_json_text() for r in batch])
         elif fmt == "csv":
             writer.writerows([r.to_csv_row() for r in batch])
             text = buffer.getvalue()
@@ -208,6 +196,10 @@ def _emit_value(args, result, **extra) -> int:
 
     A factorization is multiplied out only when its value is printed;
     its digit count alone comes from PrimePowerFactorization.digit_count.
+    JSON is print(json.dumps(doc, indent=2)) of the document {n, extra...,
+    factorization: [[p, e], ...], digits, value}, written as text: the
+    pairs are read off items() _PAIR_BATCH at a time, each batch in one
+    write, so neither a list of pairs nor the whole text is ever held.
     """
     factored = isinstance(result, PrimePowerFactorization)
     if args.digits_only:
@@ -219,21 +211,30 @@ def _emit_value(args, result, **extra) -> int:
     if args.format == "plain":
         print(digits if text is None else text)
         return 0
-    doc = {"n": args.n, **extra}
-    if factored:
-        doc["factorization"] = result.to_pairs()
-    doc["digits"] = digits
+    fields = {"n": args.n, **extra, "digits": digits}
     if text is not None:
-        doc["value"] = text
-    if args.format == "json":
-        import json
-
-        print(json.dumps(doc, indent=2))
-    else:
+        fields["value"] = text
+    if args.format == "csv":
         import csv
 
-        header = [k for k in doc if k != "factorization"]
-        csv.writer(sys.stdout, lineterminator="\n").writerows([header, [doc[k] for k in header]])
+        csv.writer(sys.stdout, lineterminator="\n").writerows([list(fields), list(fields.values())])
+        return 0
+    members = [f'  "{k}": {json_str(v) if isinstance(v, str) else v}' for k, v in fields.items()]
+    ahead = 1 + len(extra)  # n and extra come before the factorization
+    write = sys.stdout.write
+    lead = "{\n" + "".join(m + ",\n" for m in members[:ahead])
+    if factored:
+        pairs = result.items()
+        if batch := list(islice(pairs, _PAIR_BATCH)):
+            lead += '  "factorization": [\n'
+            while batch:
+                write(lead + ",\n".join([f"    [\n      {p},\n      {e}\n    ]" for p, e in batch]))
+                lead = ",\n"
+                batch = list(islice(pairs, _PAIR_BATCH))
+            lead = "\n  ],\n"
+        else:
+            lead += '  "factorization": [],\n'
+    write(lead + ",\n".join(members[ahead:]) + "\n}\n")
     return 0
 
 

@@ -13,7 +13,8 @@ its precision in a local copy of the thread's decimal context.
   lo * 2**k <= x <= hi * 2**k, with lo cut to _BRACKET_BITS bits (lo
   rounded down, hi up), and so is 10**d = 5**d * 2**d; from a lower bound
   on the count taken from the bit length, exact integer comparisons of
-  the two brackets step d up until x < 10**d is certain. decimal_digits()
+  the two brackets step d up once at most, until x < 10**d is certain
+  (x has at most one bit more than the lower bound counts). decimal_digits()
   brackets an int by its top bits; bracket_product() brackets a product
   of prime powers streamed pair by pair, so a factorization is counted
   without being multiplied out. (3) Exact: the brackets overlap only
@@ -32,10 +33,17 @@ its precision in a local copy of the thread's decimal context.
   is a flag's text in CSV ("false", "true"), VERDICTS a verdict's in
   plain text ("FAIL", "ok"), each indexed by the flag. csv_row() turns a
   record's values into CSV cells, a bool through FLAGS.
+* Records and value documents write their own JSON text, byte for byte
+  what the json module writes: a flag through FLAGS (JSON's own
+  spelling), a string through json_str() and a float through
+  json_float(). json_str() writes printable ASCII with no quote and no
+  backslash as it is, and hands any other string to json.dumps, so json
+  is imported only for such a string.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Iterable
 
@@ -63,6 +71,22 @@ _CHUNK_BITS = 1024
 # the value, so a product folded in F cuts is bracketed to a relative
 # width of about F * 2**-127: lcm(1..10**6) takes about 11,000 cuts.
 _BRACKET_BITS = 128
+
+
+def json_str(s: str) -> str:
+    """``json.dumps(s)`` for a str s."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    import json
+
+    return json.dumps(s)
+
+
+def json_float(x: float) -> str:
+    """``json.dumps(x)`` for a float x: its repr when finite, else NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
 
 
 def csv_row(values: Iterable) -> list[str]:
@@ -143,17 +167,18 @@ def _at_most(a: int, s: int, b: int, t: int) -> bool:
 
 
 def bracket_digit_count(lo: int, hi: int, k: int) -> int | None:
-    """Digit count of every x with ``lo * 2**k <= x <= hi * 2**k``, ``lo >= 1``.
+    """Digit count of every x with ``lo * 2**k <= x <= hi * 2**k``, ``lo >= 1``, ``hi < 2 * 2**bits(lo)``.
 
     None when the bracket holds values of two different digit counts,
     or cannot be told apart from a power of ten that bounds them; the
     caller then counts the exact value.
     """
-    digits = _digits_at_least(k + lo.bit_length())  # x has at least k + bits(lo) bits
+    digits = _digits_at_least(k + lo.bit_length())  # x has at least b = k + bits(lo) bits
     ten_lo, ten_hi, ten_k = _power_of_ten_bracket(digits)
-    while _at_most(ten_hi, ten_k, lo, k):  # 10**digits <= x
-        digits += 1
-        ten_lo, ten_hi, ten_k = _trim(ten_lo * 10, ten_hi * 10, ten_k)
+    if _at_most(ten_hi, ten_k, lo, k):  # 10**digits <= x
+        # hi < 2**(bits(lo) + 1), so x has at most b + 1 bits, and
+        # 10**(digits + 1) > 10 * 2**(b - 1) > x: one step is always enough.
+        return digits + 1
     # x < 10**digits, unless the brackets overlap.
     return None if _at_most(ten_lo, ten_k, hi, k) else digits
 

@@ -166,10 +166,6 @@ class PrimePowerFactorization:
         """ln(expand()) as sum e*ln(p), compensated (never builds the int)."""
         return math.fsum(e * math.log(p) for p, e in self.items())
 
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: [[prime, exponent], ...] in increasing prime order."""
-        return [[int(p), e] for p, e in self.items()]
-
 
 class BinomialRow:
     """Row n of Pascal's triangle: entries[k] == C(n,k), exactly.

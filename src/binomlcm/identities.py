@@ -55,7 +55,7 @@ from itertools import chain, pairwise, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
-from .digits import VERDICTS, csv_row, decimal_str
+from .digits import FLAGS, VERDICTS, csv_row, decimal_str, json_str
 from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotient
 from .errors import DomainError, InternalConsistencyError, require_int
 
@@ -119,6 +119,14 @@ class IdentityReport(NamedTuple):
     def to_csv_row(self) -> list[str]:
         return csv_row(self.to_json_dict().values())
 
+    def to_json_text(self) -> str:
+        return (
+            f'{{\n    "theorem": "{self.theorem.value}",\n    "n": {self.n},\n'
+            f'    "lhs": "{decimal_str(self.lhs)}",\n    "rhs": "{decimal_str(self.rhs)}",\n'
+            f'    "holds": {FLAGS[self.holds]},\n    "lhs_method": {json_str(self.lhs_method)},\n'
+            f'    "rhs_method": {json_str(self.rhs_method)}\n  }}'
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "theorem": self.theorem.value,
@@ -171,6 +179,14 @@ class EquivalenceChainReport(NamedTuple):
             "weighted row fold (chain head)",
             "prime-power factorization of lcm(1..n) (chain tail)",
         ))
+
+    def to_json_text(self) -> str:
+        return (
+            f'{{\n    "theorem": "CHAIN",\n    "n": {self.n},\n    "q_nair": "{decimal_str(self.q_nair)}",\n'
+            f'    "q_thm4_rhs": "{decimal_str(self.q_thm4_rhs)}",\n'
+            f'    "q_thm3_lhs": "{decimal_str(self.q_thm3_lhs)}",\n'
+            f'    "q_range": "{decimal_str(self.q_range)}",\n    "all_equal": {FLAGS[self.all_equal]}\n  }}'
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,11 +247,15 @@ def _termwise_rhs(n: int) -> list[int]:
 
 
 def _termwise_report(f: _Facts) -> IdentityReport:
-    # Left side read off the Pascal-built row (the weighted terms it
-    # caches for T1's fold), right side from the multiplicative
-    # recurrence; all n terms compared pairwise. On failure the report
-    # carries the first mismatching pair instead of the (then
-    # meaningless) totals.
+    """TERMWISE at n: the totals of both sides once every term agrees, else the first pair that does not.
+
+    Left side read off the Pascal-built row (the weighted terms it
+    caches for T1's fold), right side from the multiplicative
+    recurrence; all n terms are compared pairwise. Two tuples equal term
+    by term have equal sums, so the left side is summed once and its
+    total reported on both sides. On failure the report carries the
+    first mismatching pair instead of the (then meaningless) totals.
+    """
     n = f.n
     lhs = f.row.weighted_terms
     rhs = tuple(_termwise_rhs(n))
@@ -243,7 +263,8 @@ def _termwise_report(f: _Facts) -> IdentityReport:
         t = next(t for t in range(1, n + 1) if lhs[t - 1] != rhs[t - 1])
         at = f"at first failing t={t}"
         return IdentityReport(Theorem.TERMWISE, n, lhs[t - 1], rhs[t - 1], f"t*C(n,t) {at}", f"n*C(n-1,t-1) {at}")
-    return IdentityReport(Theorem.TERMWISE, n, sum(lhs), sum(rhs), _M_TERM_LHS, _M_TERM_RHS)
+    total = sum(lhs)
+    return IdentityReport(Theorem.TERMWISE, n, total, total, _M_TERM_LHS, _M_TERM_RHS)
 
 
 def _chain_report(f: _Facts) -> EquivalenceChainReport:

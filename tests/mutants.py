@@ -66,6 +66,19 @@ MUTANTS = [
          "tests/test_digits.py::test_powers_of_ten_plus_minus_one"),
     ),
     Mutant(
+        # One step up from the lower count always reaches the count.
+        "bracket-step-not-counted", "digits.py",
+        "        return digits + 1\n",
+        "        return digits\n",
+        ("tests/test_digits.py::test_powers_of_ten_plus_minus_one",),
+    ),
+    Mutant(
+        "log10-2-lower-bound-above-log10-2", "digits.py",
+        "_LOG10_2_NUM = 30102999566398119521",
+        "_LOG10_2_NUM = 30102999566398119522",
+        ("tests/test_digits.py::test_log10_2_lies_between_its_two_rational_bounds",),
+    ),
+    Mutant(
         "digits-exact-fallback-strict", "digits.py",
         "return digits + (x >= 10**digits)",
         "return digits + (x > 10**digits)",
@@ -79,10 +92,40 @@ MUTANTS = [
         ("tests/test_cli.py::TestBatchedWrites::test_one_write_per_batch_and_the_same_bytes",),
     ),
     Mutant(
-        "json-break-one-space-short", "cli.py",
-        '_JSON_BREAK = "\\n  },\\n  {\\n    "',
-        '_JSON_BREAK = "\\n  },\\n  {\\n   "',
+        "json-join-one-space-short", "cli.py",
+        'text = ",\\n  ".join(',
+        'text = ",\\n ".join(',
         ("tests/test_cli.py::TestJsonWriter::test_around_the_write_batch",),
+    ),
+    Mutant(
+        "json-str-quote-unchecked", "digits.py",
+        "'\"' not in s and ",
+        "",
+        ("tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps",),
+    ),
+    Mutant(
+        "json-str-backslash-unchecked", "digits.py",
+        ' and "\\\\" not in s',
+        "",
+        ("tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps",),
+    ),
+    Mutant(
+        "json-float-non-finite-by-repr", "digits.py",
+        'return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"',
+        "return repr(x)",
+        ("tests/test_cli.py::TestJsonWriter::test_json_float_is_json_dumps",),
+    ),
+    Mutant(
+        "pair-writer-drops-last-partial-batch", "cli.py",
+        "            while batch:\n",
+        "            while len(batch) == _PAIR_BATCH:\n",
+        ("tests/test_cli.py::TestValueJson::test_matches_json_dumps_indent_2[range-40000-False]",),
+    ),
+    Mutant(
+        "empty-factorization-on-two-lines", "cli.py",
+        "'  \"factorization\": [],\\n'",
+        "'  \"factorization\": [\\n  ],\\n'",
+        ("tests/test_cli.py::TestValueJson::test_matches_json_dumps_indent_2[range-1-False]",),
     ),
     Mutant(
         "csv-buffer-not-reset", "cli.py",
@@ -110,6 +153,12 @@ MUTANTS = [
          "tests/test_bounds.py::TestIterPsiTable::test_a_closed_pipe_stops_the_sweep"),
     ),
     Mutant(
+        "log2-3-bound-above-log2-3", "bounds.py",
+        "_LOG2_3_NUM = 15849625007211561814",
+        "_LOG2_3_NUM = 15849625007211561815",
+        ("tests/test_bounds.py::TestCheckBounds::test_log2_3_bound_is_below_log2_3",),
+    ),
+    Mutant(
         # A generator function runs none of its body, the checks included, until the first next().
         "psi-table-checks-lazy", "bounds.py",
         "    return _psi_records(",
@@ -134,6 +183,19 @@ MUTANTS = [
         "    m = n + 1  #",
         "    m = n + 2  #",
         ("tests/test_valuation.py::test_two_digit_form_matches_kummer_enumeration",),
+    ),
+    Mutant(
+        # Trial division skips divisors 5, 11, 17, ..., and accepts 25 and 49.
+        "trial-division-steps-by-three", "valuation.py",
+        "        f += 2\n",
+        "        f += 3\n",
+        ("tests/test_valuation.py::TestPrime::test_agrees_with_trial_division_below_10_4",),
+    ),
+    Mutant(
+        "prime-limit-excludes-itself", "valuation.py",
+        "if v > PRIMALITY_CHECK_LIMIT:",
+        "if v >= PRIMALITY_CHECK_LIMIT:",
+        ("tests/test_valuation.py::TestPrime::test_the_check_limit_itself_is_checked",),
     ),
     Mutant(
         # Leaves the last kept prime up to isqrt(n) to the tail of ones, as p at n = p^2.
@@ -346,6 +408,18 @@ MUTANTS = [
         "require_int(reps, 3,",
         "require_int(int(reps), 3,",
         ("tests/test_bench.py::test_a_bad_n_or_reps_is_refused_before_any_route_is_called[float-reps]",),
+    ),
+    Mutant(
+        "bench-reps-default-6", "cli.py",
+        'p.add_argument("--reps", type=int, default=5)',
+        'p.add_argument("--reps", type=int, default=6)',
+        ("tests/test_cli.py::TestBench::test_reps_default_to_5",),
+    ),
+    Mutant(
+        "bench-row-from-1", "bench.py",
+        "return _bench_task(Task.ROW_LCM, ROW_ROUTES, caps, methods, ns, reps, 0)",
+        "return _bench_task(Task.ROW_LCM, ROW_ROUTES, caps, methods, ns, reps, 1)",
+        ("tests/test_cli.py::TestBench::test_row_0_is_benched",),
     ),
     Mutant(
         # The checks use up the n, and the attestation pass finds none left.

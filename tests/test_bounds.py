@@ -1,6 +1,7 @@
 """Bounds module: exact flags, the psi ratio, and CSV output."""
 
 import contextlib
+import decimal
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from binomlcm import (
     lcm_range,
     psi_table,
 )
+from binomlcm import bounds
 from binomlcm.bounds import BOUNDS_CSV_HEADER
 from binomlcm.cli import run
 from helpers import brute_range_lcm, fsum_psi_table, trial_is_prime
@@ -58,6 +60,13 @@ class TestCheckBounds:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             check_bounds(0)
+
+    def test_log2_3_bound_is_below_log2_3(self):
+        # The 3^n flag trusts every value of at most n * _LOG2_3_NUM // _LOG2_3_DEN bits.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            log2_3 = decimal.Decimal(3).ln() / decimal.Decimal(2).ln()
+            assert decimal.Decimal(bounds._LOG2_3_NUM) / bounds._LOG2_3_DEN < log2_3
 
     def test_enforced_ok_semantics(self):
         required_fail = BoundsRecord(9, 4, True, False, True, 0.87)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DEFAULT_CAPS,
     BenchRecord,
     BoundsRecord,
     EquivalenceChainReport,
@@ -31,6 +32,8 @@ from binomlcm import cli
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from binomlcm.cli import _emit, run
+from binomlcm.digits import decimal_str, json_float, json_str
+from binomlcm.engine import ROW_ROUTES, lcm_range
 from binomlcm.identities import IDENTITY_CSV_HEADER
 from helpers import brute_range_lcm
 
@@ -90,6 +93,36 @@ class TestLcmRange:
         value = out.strip()
         assert len(value) == 8676  # lcm(1..20000) digit count
         assert value.isdigit()
+
+
+class TestValueJson:
+    """A value document is print(json.dumps(doc, indent=2)), its factorization read off items()."""
+
+    # 3000 has 430 pairs; 40000 has 4203, more than one write batch of pairs.
+    @pytest.mark.parametrize("digits_only", [False, True])
+    @pytest.mark.parametrize(
+        "route, n",
+        [(r, n) for r in ["range", "valuation", "farhi", "naive"] for n in [1, 2, 4, 50, 3000]]
+        + [("range", 40000), ("valuation", 40000)],
+    )
+    def test_matches_json_dumps_indent_2(self, capsys, route, n, digits_only):
+        if route == "range":
+            argv, result, doc = ["lcm-range", str(n)], lcm_range(n), {"n": n}
+        else:
+            argv = ["row-lcm", str(n), "--method", route]
+            result, doc = ROW_ROUTES[route](n, DEFAULT_CAPS), {"n": n, "method": route}
+        if isinstance(result, PrimePowerFactorization):
+            doc["factorization"] = [list(pair) for pair in result.items()]
+            if n == 40000:
+                assert len(doc["factorization"]) > cli._PAIR_BATCH
+            result = result.expand()
+        text = decimal_str(result)  # checked against str() in test_digits
+        doc["digits"] = len(text)
+        if not digits_only:
+            doc["value"] = text
+        code, out, err = invoke(capsys, *argv, "--format", "json", *(["--digits-only"] if digits_only else []))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestRowLcm:
@@ -231,6 +264,19 @@ class TestBench:
         assert rows[0] == ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
         assert len(rows) == 1 + 6  # 3 methods x 2 sizes
         assert all(row[-1] == "true" for row in rows[1:])
+
+    def test_reps_default_to_5(self, capsys):
+        code, out, _ = invoke(capsys, "bench", "row", "--ns", "8")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3
+        assert all(" n=8 reps=5 " in line for line in lines)
+
+    def test_row_0_is_benched(self, capsys):
+        code, out, _ = invoke(capsys, "bench", "row", "--ns", "0", "--reps", "3")
+        lines = out.splitlines()
+        assert code == 0
+        assert [line.split()[1] for line in lines] == list(ROW_ROUTES)
+        assert all(" n=0 reps=3 " in line and line.endswith(" digits=1 verified=true") for line in lines)
 
     def test_range_plain(self, capsys):
         code, out, _ = invoke(capsys, "bench", "range", "--ns", "10", "--reps", "3")
@@ -453,18 +499,6 @@ class TestRecordProtocol:
         assert capsys.readouterr().out != ""
 
 
-class _Doc:
-    """A record that is only its JSON dict."""
-
-    ok = True
-
-    def __init__(self, doc):
-        self.doc = doc
-
-    def to_json_dict(self):
-        return self.doc
-
-
 def _emit_json(records) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -475,40 +509,45 @@ def _emit_json(records) -> str:
 _JSON_TEXT = (
     st.text()
     | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a{},: '))
-    # The text _emit rewrites between two records, and pieces of it.
+    # The text between two records at depth 1, and pieces of it.
     | st.sampled_from(["},\n    {", "},", "{", "}", "\n  },\n  {\n    "])
 )
-_JSON_SCALARS = st.one_of(
-    _JSON_TEXT,
-    st.integers(),
-    st.integers(min_value=-(10**400), max_value=10**400),
-    st.booleans(),
-    st.none(),
-    st.floats(),
-    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]),
+_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf])
+# Either side of digits._STR_MAX_BITS, where decimal_str switches to its Decimal route.
+_SIDES = (
+    st.integers()
+    | st.integers(min_value=2**1990, max_value=2**2100)
+    | st.integers(min_value=-(2**2100), max_value=-(2**1990))
 )
+_RECORDS = {
+    "identity": st.builds(
+        IdentityReport, st.sampled_from(Theorem), st.integers(), _SIDES, _SIDES, _JSON_TEXT, _JSON_TEXT
+    ),
+    "chain": st.builds(EquivalenceChainReport, st.integers(), _SIDES, _SIDES, _SIDES, _SIDES),
+    "bounds": st.builds(BoundsRecord, st.integers(), st.integers(), *[st.booleans()] * 3, _FLOATS),
+    "bench": st.builds(BenchRecord, st.sampled_from(Task), _JSON_TEXT, *[st.integers()] * 5, st.booleans()),
+}
 
 
 class TestJsonWriter:
-    """_emit writes each record as it comes, yet as one indent=2 document."""
+    """Records write their own JSON text, as one json.dumps(list, indent=2) document."""
 
-    @given(st.lists(st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=6), max_size=5))
+    @given(_JSON_TEXT)
+    @settings(deadline=None, max_examples=500)
+    def test_json_str_is_json_dumps(self, s):
+        assert json_str(s) == json.dumps(s)
+
+    @given(_FLOATS)
     @settings(deadline=None, max_examples=300)
-    def test_matches_json_dumps_indent_2(self, docs):
-        assert _emit_json([_Doc(d) for d in docs]) == json.dumps(docs, indent=2) + "\n"
+    def test_json_float_is_json_dumps(self, x):
+        assert json_float(x) == json.dumps(x)
 
-    # Long enough to cross a write batch (64 records), where the encoded
-    # batch is split into records.
-    @given(
-        st.lists(
-            st.dictionaries(_JSON_TEXT, _JSON_TEXT | st.integers(), min_size=1, max_size=2),
-            min_size=60,
-            max_size=130,
-        )
-    )
-    @settings(deadline=None, max_examples=40)
-    def test_matches_json_dumps_indent_2_across_batches(self, docs):
-        assert _emit_json([_Doc(d) for d in docs]) == json.dumps(docs, indent=2) + "\n"
+    @pytest.mark.parametrize("kind", list(_RECORDS))
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_each_record_type_is_its_json_dict(self, kind, data):
+        record = data.draw(_RECORDS[kind])
+        assert _emit_json([record]) == json.dumps([record.to_json_dict()], indent=2) + "\n"
 
     @pytest.mark.parametrize("count", [63, 64, 65, 129])
     def test_around_the_write_batch(self, count):

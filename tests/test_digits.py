@@ -12,6 +12,7 @@ int's top bits. A bracket narrowed to a few bits overlaps powers of ten
 often, which exercises the exact fallback.
 """
 
+import decimal
 import sys
 
 import pytest
@@ -50,6 +51,14 @@ def test_zero():
 def near_power_of_ten(k):
     """10^k - 1, 10^k and 10^k + 1 with their strings, known without str()."""
     return ((10**k - 1, "9" * k), (10**k, "1" + "0" * k), (10**k + 1, "1" + "0" * (k - 1) + "1"))
+
+
+def test_log10_2_lies_between_its_two_rational_bounds():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        log10_2 = decimal.Decimal(2).log10()
+        assert decimal.Decimal(digits._LOG10_2_NUM) / digits._LOG10_2_DEN < log10_2
+        assert log10_2 < decimal.Decimal(digits._LOG10_2_HI) / digits._LOG10_2_DEN
 
 
 def test_powers_of_ten_plus_minus_one():

@@ -43,6 +43,21 @@ class TestPrime:
         with pytest.raises(DomainError):
             Prime(2**32 + 15)
 
+    def test_agrees_with_trial_division_below_10_4(self):
+        # Odd composites such as 25 and 49 have no factor 2 or 3.
+        for v in range(10**4):
+            if trial_is_prime(v):
+                assert Prime(v) == v
+            else:
+                with pytest.raises(DomainError, match=rf"^{v} is not prime$"):
+                    Prime(v)
+
+    def test_the_check_limit_itself_is_checked(self):
+        # 2**32 is within the limit, and refused as composite; 4294967291 is the largest prime below it.
+        with pytest.raises(DomainError, match="^4294967296 is not prime$"):
+            Prime(2**32)
+        assert Prime(4294967291) == 4294967291
+
     def test_rejects_non_integers(self):
         with pytest.raises(DomainError):
             Prime(7.0)
