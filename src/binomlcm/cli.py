@@ -291,9 +291,6 @@ def run(argv: list[str]) -> int:
     except InternalConsistencyError as exc:
         print(f"binomlcm: internal consistency: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"binomlcm: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -7,12 +7,13 @@ text that replaces it, and the pytest ids that must catch the change. For
 each row the runner copies src/ into a temporary directory, applies the
 mutant there, and runs only the row's tests in a child pytest with
 PYTHONPATH on the copy; the child reports which binomlcm it imported, and
-a run that did not import the copy is an error. Before any mutant, the
-same tests run once on an unmutated copy and must pass, so a mutant is
-killed by its change and not by a test that fails anyway. Every child
-runs in one of WORKERS threads, each waiting on its own child pytest in
-its own copy: the unmutated tests are dealt out among them, and then the
-rows, whose results print in table order.
+a run that did not import the copy is an error. The same tests also run
+once, in one child, on an unmutated copy and must pass, or no mutant
+counts, so a mutant is killed by its change and not by a test that fails
+anyway. Every child runs in one of WORKERS threads, each waiting on its
+own child pytest in its own copy: the unmutated pass goes first and the
+rows follow as threads come free; the unmutated result prints first and
+the rows' results in table order.
 
 A mutant is killed when its tests fail (pytest exit code 1). It survives
 when they pass. Anything else is an error: old text not found exactly
@@ -31,7 +32,6 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -231,6 +231,14 @@ MUTANTS = [
         "chain(self._exps, repeat(1, 1))",
         ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",
          "tests/test_engine.py::TestLcmRange::test_six"),
+    ),
+    Mutant(
+        # One int object per prime: lcm-range 10000000 --digits-only still
+        # prints 4342311, and its peak goes from about 24 MB to about 47 MB.
+        "sieve-primes-in-a-list", "engine.py",
+        'primes = array("I", [2])',
+        "primes = [2]",
+        ("tests/test_cli.py::TestChildProcess::test_peak_rss[primes-packed]",),
     ),
     Mutant(
         # A validated build that stores a tuple never equals a _trusted one.
@@ -565,11 +573,13 @@ def _report(name: str, status: str, detail: str, seconds: float, passed: str) ->
 def main() -> int:
     all_tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with ThreadPoolExecutor(WORKERS) as pool:
-        # The unmutated pass deals every row's tests out to the workers.
-        shares = [all_tests[i::WORKERS] for i in range(WORKERS)]
-        if not all([_report("(unmutated)", *outcome, "ok") for outcome in pool.map(partial(_timed, None), shares)]):
-            return 1
+        # One worker runs the unmutated pass while the others take rows, and
+        # each takes the next row when it is free, so no worker waits.
+        unmutated = pool.submit(_timed, None, all_tests)
         outcomes = pool.map(lambda m: _timed(m, m.tests), MUTANTS)
+        if not _report("(unmutated)", *unmutated.result(), "ok"):
+            pool.shutdown(cancel_futures=True)
+            return 1
         killed = sum(_report(m.name, *outcome, "killed") for m, outcome in zip(MUTANTS, outcomes))
     print(f"{killed} of {len(MUTANTS)} mutants killed")
     return 0 if killed == len(MUTANTS) else 1

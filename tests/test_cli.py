@@ -8,8 +8,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,14 +46,31 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CLI = [sys.executable, "-m", "binomlcm.cli"]
+
+
+def child_env(unbuffered: bool = False) -> dict[str, str]:
+    """The environment of a CLI child: the package this process imported, stdout as asked.
+
+    A copy of the source put first on PYTHONPATH, as tests/mutants.py
+    does, is then the one the child runs.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(binomlcm.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestLcmRange:
     def test_plain_value(self, capsys):
         code, out, err = invoke(capsys, "lcm-range", "10")
         assert (code, out, err) == (0, "2520\n", "")
 
-    def test_digits_only(self, capsys):
-        code, out, _ = invoke(capsys, "lcm-range", "10", "--digits-only")
-        assert code == 0 and out == "4\n"
+    @pytest.mark.parametrize("n, digits", [("10", "4"), ("100000", "43452")])
+    def test_digits_only(self, capsys, n, digits):
+        code, out, _ = invoke(capsys, "lcm-range", n, "--digits-only")
+        assert code == 0 and out == digits + "\n"
 
     def test_json_document(self, capsys):
         code, out, _ = invoke(capsys, "lcm-range", "6", "--format", "json")
@@ -124,6 +143,25 @@ class TestValueJson:
         assert (code, err) == (0, "")
         assert out == json.dumps(doc, indent=2) + "\n"
 
+    # A factorization stores exponents up to isqrt(n) = 316 only and reads
+    # every later prime as exponent 1: lcm(1..n) lists all 9592 primes, and
+    # the row lcm all but 9091 (n + 1 = 100001 = 11 * 9091).
+    def test_range_factorization_at_10_5(self, capsys):
+        code, out, err = invoke(capsys, "lcm-range", "100000", "--format", "json")
+        doc = json.loads(out)
+        pairs = doc["factorization"]
+        above_one = [p for p, e in pairs if e > 1]
+        assert (code, err, len(pairs), len(above_one), doc["digits"]) == (0, "", 9592, 65, 43452)
+        assert above_one == [p for p, _ in pairs if p <= 316]
+
+    def test_row_factorization_at_10_5(self, capsys):
+        code, out, err = invoke(capsys, "row-lcm", "100000", "--method", "valuation", "--format", "json")
+        doc = json.loads(out)
+        pairs = doc["factorization"]
+        assert (code, err, len(pairs), doc["digits"]) == (0, "", 9591, 43447)
+        assert 9091 not in [p for p, _ in pairs]
+        assert all(e == 1 for p, e in pairs if p > 316)
+
 
 class TestRowLcm:
     @pytest.mark.parametrize("method", ["naive", "farhi", "valuation"])
@@ -134,6 +172,22 @@ class TestRowLcm:
     def test_default_method(self, capsys):
         code, out, _ = invoke(capsys, "row-lcm", "4")
         assert code == 0 and out == "12\n"
+
+    def test_valuation_and_farhi_print_one_value_at_10_5(self, capsys):
+        valuation = invoke(capsys, "row-lcm", "100000", "--method", "valuation")
+        assert valuation == invoke(capsys, "row-lcm", "100000", "--method", "farhi")
+        code, value, err = valuation
+        assert (code, err) == (0, "") and value.strip().isdigit()
+        for method in ("valuation", "farhi"):
+            digits = invoke(capsys, "row-lcm", "100000", "--method", method, "--digits-only")
+            assert digits == (0, f"{len(value) - 1}\n", "")
+
+    # The valuation route's only cap is the sieve cap (10**7), as for farhi
+    # and lcm-range; past 10**6 the two routes still agree.
+    @pytest.mark.parametrize("n", ["1000000", "1000001"])
+    def test_valuation_and_farhi_count_one_value_past_10_6(self, capsys, n):
+        for method in ("valuation", "farhi"):
+            assert invoke(capsys, "row-lcm", n, "--method", method, "--digits-only") == (0, "434109\n", "")
 
     def test_valuation_json_includes_factorization(self, capsys):
         _, out, _ = invoke(capsys, "row-lcm", "6", "--method", "valuation", "--format", "json")
@@ -161,10 +215,13 @@ class TestRowLcm:
         code, _, err = invoke(capsys, "row-lcm", "100", "--method", "naive", "--max-row", "10")
         assert code == 3 and "cap" in err
 
-    def test_valuation_caps_exit_3(self, capsys):
-        # The sieve cap is the valuation route's only cap.
-        code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", "--max-sieve", "49")
-        assert (code, out, err) == (3, "", "binomlcm: resource cap: sieve limit 50 exceeds the configured cap 49\n")
+    # The sieve cap is the valuation route's only cap: one past a flag, or one past the default.
+    @pytest.mark.parametrize(
+        "n, flags, cap", [("50", ["--max-sieve", "49"], 49), ("10000001", [], 10_000_000)], ids=["flag", "default"]
+    )
+    def test_valuation_caps_exit_3(self, capsys, n, flags, cap):
+        refusal = f"binomlcm: resource cap: sieve limit {n} exceeds the configured cap {cap}\n"
+        assert invoke(capsys, "row-lcm", n, "--method", "valuation", *flags) == (3, "", refusal)
 
     def test_no_valuation_cap_flag(self, capsys):
         code, out, err = invoke(capsys, "row-lcm", "50", "--method", "valuation", "--max-valuation", "5")
@@ -185,13 +242,13 @@ class TestVerify:
 
     def test_json_all_reports(self, capsys):
         code, out, _ = invoke(
-            capsys, "verify", "--theorem", "all", "--from", "1", "--to", "12", "--format", "json"
+            capsys, "verify", "--theorem", "all", "--from", "1", "--to", "20", "--format", "json"
         )
         assert code == 0
         docs = json.loads(out)
-        # 5 theorems + termwise + chain, 12 each, fixed order
-        assert len(docs) == 7 * 12
-        assert [d["theorem"] for d in docs[:24:12]] == ["T1", "T2"]
+        # 5 theorems + termwise + chain, 20 each, fixed order
+        assert len(docs) == 7 * 20
+        assert [d["theorem"] for d in docs[:40:20]] == ["T1", "T2"]
         assert docs[-1]["theorem"] == "CHAIN"
         assert all(d.get("holds", d.get("all_equal")) for d in docs)
 
@@ -209,10 +266,12 @@ class TestVerify:
         assert code == 0
         assert out == "CHAIN n=9 ok nair=2520 thm4_rhs=2520 thm3_lhs=2520 range=2520\n"
 
-    def test_termwise(self, capsys):
-        code, out, _ = invoke(capsys, "verify", "--theorem", "termwise", "--from", "1", "--to", "20")
+    # T5 reads each row's cached half-row fold.
+    @pytest.mark.parametrize("theorem, last", [("termwise", 20), ("5", 300)])
+    def test_one_theorem_over_a_range(self, capsys, theorem, last):
+        code, out, _ = invoke(capsys, "verify", "--theorem", theorem, "--from", "1", "--to", str(last))
         assert code == 0
-        assert len(out.strip().splitlines()) == 20
+        assert len(out.strip().splitlines()) == last
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         # No real identity fails, so fake one to pin the exit-code contract.
@@ -232,11 +291,12 @@ class TestVerify:
 
 
 class TestBounds:
-    def test_csv_schema(self, capsys):
-        code, out, _ = invoke(capsys, "bounds", "--to", "10", "--format", "csv")
+    @pytest.mark.parametrize("max_n", [10, 3000])
+    def test_csv_schema(self, capsys, max_n):
+        code, out, _ = invoke(capsys, "bounds", "--to", str(max_n), "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["n", "lcm_digits", "holds_2nm1", "holds_2n", "holds_3n", "psi_over_n"]
-        assert len(rows) == 11
+        assert len(rows) == max_n + 1
         assert code == 0  # informational 2^n misses below 9 do not fail the run
 
     def test_step(self, capsys):
@@ -244,25 +304,47 @@ class TestBounds:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[0] for r in rows[1:]] == ["25", "50", "75", "100"]
 
+    def test_last_sample_counts_the_digits_lcm_range_counts(self, capsys):
+        code, out, _ = invoke(capsys, "bounds", "--to", "100000", "--step", "1000", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1].split(",")[:2] == ["100000", "43452"]
+
     def test_plain_has_header(self, capsys):
         _, out, _ = invoke(capsys, "bounds", "--to", "5")
         assert "psi_over_n" in out.splitlines()[0]
 
+    # A step above --to has no sample at all: refused like an empty verify
+    # range, not a bare header. The sieve is the one check of the sieve cap,
+    # so bounds refuses in the words every sieving command uses.
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_step_above_to_is_refused(self, capsys, fmt):
-        # No sample at all: refused like an empty verify range, not a bare header.
-        code, out, err = invoke(capsys, "bounds", "--to", "5", "--step", "10", "--format", fmt)
-        assert (code, out) == (2, "")
-        assert err == "binomlcm: domain error: psi_table has no sample: step 10 > max_n 5\n"
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--to", "5", "--step", "10"], 2, "binomlcm: domain error: psi_table has no sample: step 10 > max_n 5\n"),
+            (
+                ["--to", "100", "--max-sieve", "99"],
+                3,
+                "binomlcm: resource cap: sieve limit 100 exceeds the configured cap 99\n",
+            ),
+        ],
+        ids=["step-above-to", "sieve-cap"],
+    )
+    def test_refused_with_nothing_on_stdout(self, capsys, fmt, argv, code, err):
+        assert invoke(capsys, "bounds", *argv, "--format", fmt) == (code, "", err)
 
 
 class TestBench:
-    def test_row_csv(self, capsys):
-        code, out, _ = invoke(capsys, "bench", "row", "--ns", "8,16", "--reps", "3", "--format", "csv")
+    # Above the default full-row cap (5000) the naive route is not timed.
+    @pytest.mark.parametrize(
+        "ns, methods",
+        [("8,16", ["naive", "farhi", "valuation"] * 2), ("6000", ["farhi", "valuation"])],
+        ids=["8,16", "6000"],
+    )
+    def test_row_csv(self, capsys, ns, methods):
+        code, out, _ = invoke(capsys, "bench", "row", "--ns", ns, "--reps", "3", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert code == 0
         assert rows[0] == ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
-        assert len(rows) == 1 + 6  # 3 methods x 2 sizes
+        assert [row[1] for row in rows[1:]] == methods
         assert all(row[-1] == "true" for row in rows[1:])
 
     def test_reps_default_to_5(self, capsys):
@@ -278,10 +360,16 @@ class TestBench:
         assert [line.split()[1] for line in lines] == list(ROW_ROUTES)
         assert all(" n=0 reps=3 " in line and line.endswith(" digits=1 verified=true") for line in lines)
 
-    def test_range_plain(self, capsys):
-        code, out, _ = invoke(capsys, "bench", "range", "--ns", "10", "--reps", "3")
+    # Above the default fold cap (10**5) only the factorization route is timed.
+    @pytest.mark.parametrize(
+        "ns, methods", [("10", ["fold", "factorization"]), ("2000000", ["factorization"])], ids=["10", "2000000"]
+    )
+    def test_range_plain(self, capsys, ns, methods):
+        code, out, _ = invoke(capsys, "bench", "range", "--ns", ns, "--reps", "3")
+        lines = out.strip().splitlines()
         assert code == 0
-        assert all("verified=true" in line for line in out.strip().splitlines())
+        assert [line.split()[1] for line in lines] == methods
+        assert all("verified=true" in line for line in lines)
 
     def test_bad_ns_list(self, capsys):
         code, _, err = invoke(capsys, "bench", "row", "--ns", "4,x", "--reps", "3")
@@ -292,13 +380,18 @@ class TestBench:
         assert code == 2 and out == "" and "n list is empty" in err
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
-    def test_every_method_capped_exit_3(self, capsys, fmt):
-        code, out, err = invoke(
-            capsys, "bench", "range", "--ns", "50", "--reps", "3", "--max-fold", "1", "--max-sieve", "1",
-            "--format", fmt,
-        )
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["range", "--ns", "50", "--max-fold", "1", "--max-sieve", "1"], "range_lcm bench at n=50"),
+            (["row", "--ns", "30", "--max-row", "29", "--max-sieve", "29"], "row_lcm bench at n=30"),
+        ],
+        ids=["range", "row"],
+    )
+    def test_every_method_capped_exit_3(self, capsys, fmt, argv, refusal):
+        code, out, err = invoke(capsys, "bench", *argv, "--reps", "3", "--format", fmt)
         assert code == 3 and out == ""
-        assert "range_lcm bench at n=50" in err
+        assert refusal in err
 
     def test_routes_that_disagree_exit_1_and_print_nothing(self, capsys, monkeypatch):
         from binomlcm import engine
@@ -344,9 +437,12 @@ class TestUsageAndCaps:
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 2
 
-    def test_help_exits_zero(self, capsys):
-        code, out, _ = invoke(capsys, "--help")
-        assert code == 0 and "lcm-range" in out
+    @pytest.mark.parametrize(
+        "argv, shown", [(["--help"], "lcm-range"), (["bench", "--help"], "--ns")], ids=["help", "bench-help"]
+    )
+    def test_help_exits_zero(self, capsys, argv, shown):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and shown in out
 
     @pytest.mark.parametrize("var, flag, argv, lifted_out", CAP_CASES, ids=[c[1] for c in CAP_CASES])
     def test_env_cap_respected(self, capsys, monkeypatch, var, flag, argv, lifted_out):
@@ -360,57 +456,125 @@ class TestUsageAndCaps:
         code, out, _ = invoke(capsys, *argv, flag, "100")
         assert code == 0 and out.startswith(lifted_out)
 
+    # A bad cap, from a flag or from a variable, prints nothing on stdout and
+    # one `binomlcm: domain error:` line on stderr, and exits 2.
     @pytest.mark.parametrize("flag", ["--max-sieve", "--max-row", "--max-fold"])
     def test_negative_cap_flag_refused(self, capsys, flag):
         code, out, err = invoke(capsys, "lcm-range", "10", flag, "-1")
-        assert code == 2 and out == "" and "must be an int >= 0, got -1" in err
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"binomlcm: domain error: .*must be an int >= 0, got -1\n", err)
 
     def test_negative_env_cap_refused(self, capsys, monkeypatch):
         monkeypatch.setenv("BINOMLCM_MAX_ROW", "-5")
         code, out, err = invoke(capsys, "row-lcm", "4")
         assert code == 2 and out == "" and "full_row_n must be an int >= 0, got -5" in err
 
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("BINOMLCM_MAX_ROW", "many")
-        code, _, err = invoke(capsys, "row-lcm", "4")
-        assert code == 2 and "BINOMLCM_MAX_ROW" in err
+    @pytest.mark.parametrize("var, flag, argv, lifted_out", CAP_CASES, ids=[c[1] for c in CAP_CASES])
+    def test_bad_env_value(self, capsys, monkeypatch, var, flag, argv, lifted_out):
+        monkeypatch.setenv(var, "many")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert re.fullmatch(f"binomlcm: domain error: {var} .*\n", err)
 
     def test_diagnostics_never_pollute_stdout(self, capsys):
         code, out, err = invoke(capsys, "verify", "--theorem", "1", "--from", "0", "--to", "2")
         assert out == "" and err != ""
 
     def test_pipe_safe_when_downstream_closes_early(self):
-        # | head -2 must get the first two lines, with no BrokenPipeError
+        # | head -n 3 must get the first three lines, with no BrokenPipeError
         # traceback and exit 0, in every format and with stdout unbuffered
         # too (each write is then a system call); 3000 records are many
-        # batches. The child imports the package this process imported, so
-        # a copy of the source put first on PYTHONPATH (as tests/mutants.py
-        # does) is the one it runs.
-        src = Path(binomlcm.__file__).resolve().parents[1]
-        for fmt in ("plain", "csv", "json"):
-            argv = ["bounds", "--to", "3000", "--format", fmt]
+        # batches. A sweep to the sieve cap, 10**7, ends at the first write
+        # after head exits, within 60 s.
+        cases = [(fmt, "3000", unbuffered) for fmt in ("plain", "csv", "json") for unbuffered in (False, True)]
+        for fmt, max_n, unbuffered in [*cases, ("plain", "10000000", False)]:
             whole = io.StringIO()
             with contextlib.redirect_stdout(whole):
-                assert run(argv) == 0
-            expected = whole.getvalue().splitlines(keepends=True)[:2]
-            for unbuffered in (False, True):
-                env = {**os.environ, "PYTHONPATH": str(src)}
-                env.pop("PYTHONUNBUFFERED", None)
-                if unbuffered:
-                    env["PYTHONUNBUFFERED"] = "1"
-                child = subprocess.Popen(
-                    [sys.executable, "-m", "binomlcm.cli", *argv],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    env=env,
+                assert run(["bounds", "--to", "3000", "--format", fmt]) == 0
+            expected = whole.getvalue().splitlines(keepends=True)[:3]  # the same for any --to
+            start = time.monotonic()
+            child = subprocess.Popen(
+                [*CLI, "bounds", "--to", max_n, "--format", fmt],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=child_env(unbuffered),
+            )
+            try:
+                head = subprocess.run(
+                    ["head", "-n", "3"], stdin=child.stdout, capture_output=True, text=True, timeout=60
                 )
-                head = subprocess.run(["head", "-2"], stdin=child.stdout, capture_output=True, text=True)
                 child.stdout.close()
                 err = child.stderr.read().decode()
                 child.stderr.close()
-                assert child.wait(timeout=60) == 0, (fmt, unbuffered, err)
-                assert "Traceback" not in err, (fmt, unbuffered)
-                assert head.stdout.splitlines(keepends=True) == expected, (fmt, unbuffered)
+                assert child.wait(timeout=60) == 0, (fmt, max_n, unbuffered, err)
+            finally:
+                child.kill()
+            assert time.monotonic() - start < 60, (fmt, max_n, unbuffered)
+            assert "Traceback" not in err, (fmt, max_n, unbuffered)
+            assert head.stdout.splitlines(keepends=True) == expected, (fmt, max_n, unbuffered)
+
+
+# Run as its own process, it starts the command in its argv, which writes to
+# its stdout and stderr, and then prints the command's exit code and peak RSS
+# (KiB, from os.wait4) as the last line of stderr. Linux hands the RSS of a
+# process that starts a child by vfork, as subprocess does, to that child's
+# ru_maxrss at exec, so a child started by pytest itself would report
+# pytest's RSS. This small process holds about 14 MB, below every bound.
+_PEAK = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+class TestChildProcess:
+    """What only a process of its own shows: its peak RSS and its unbuffered stdout."""
+
+    # Records are written as they are made and none is kept, so the peak
+    # does not grow with the record count. The sieve and the factorization
+    # keep each prime as four bytes of one array('I'), with no int object
+    # per prime: at the default sieve cap this peaks near 24 MB, where a
+    # list of ints peaked at 51 MB.
+    @pytest.mark.parametrize(
+        "argv, out, peak_mb",
+        [
+            (["bounds", "--to", "300000", "--format", "csv"], None, 30),
+            (["lcm-range", "10000000", "--digits-only"], "4342311\n", 35),
+        ],
+        ids=["bounds-streams", "primes-packed"],
+    )
+    def test_peak_rss(self, argv, out, peak_mb):
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK, *CLI, *argv],
+            stdout=subprocess.DEVNULL if out is None else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            text=True,
+            timeout=60,
+        )
+        *err, report = child.stderr.splitlines()
+        code, maxrss_kib = map(int, report.split())
+        assert (code, err, child.stdout) == (0, [], out)
+        assert maxrss_kib / 1024 < peak_mb
+
+    # With PYTHONUNBUFFERED every write is a system call; the emitter's
+    # batches must give the bytes the in-process run writes.
+    @pytest.mark.parametrize(
+        "command",
+        [
+            *(f"bounds --to 3000 --format {fmt}" for fmt in ("plain", "csv", "json")),
+            *(f"verify --theorem all --from 1 --to 40 --format {fmt}" for fmt in ("plain", "csv", "json")),
+            "lcm-range 3000 --format json",
+            "row-lcm 3000 --method valuation --format json",
+        ],
+    )
+    def test_unbuffered_stdout_gets_the_same_bytes(self, capsys, command):
+        code, out, err = invoke(capsys, *command.split())
+        assert (code, err) == (0, "")
+        child = subprocess.run([*CLI, *command.split()], capture_output=True, env=child_env(True), timeout=60)
+        assert (child.returncode, child.stderr, child.stdout) == (0, b"", out.encode())
 
 
 # (record, its CSV header, the flag ok stands for, expected ok); one failing
