@@ -23,7 +23,7 @@ from math import ceil
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .caps import DEFAULT_CAPS, ResourceCaps, check_cap
-from .digits import FLAGS, csv_row, decimal_digits, json_str
+from .digits import FLAGS, decimal_digits, json_str
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range, lcm_sequence
 from .errors import DomainError, InternalConsistencyError, ResourceCapError, require_int
 
@@ -62,11 +62,11 @@ class BenchRecord(NamedTuple):
             f'    "digits": {self.digits},\n    "verified": {FLAGS[self.verified]}\n  }}'
         )
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "task": self.task.value}
-
     def to_csv_row(self) -> list[str]:
-        return csv_row(self.to_json_dict().values())
+        return [
+            self.task.value, self.method, str(self.n), str(self.reps), str(self.median_ns), str(self.p90_ns),
+            str(self.digits), FLAGS[self.verified],
+        ]
 
 
 BENCH_CSV_HEADER = list(BenchRecord._fields)

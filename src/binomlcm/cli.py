@@ -150,8 +150,8 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
     as one string in one write, the header or the opening bracket in the
     first. The bytes are those of print(r.plain_line()) per record, of a
     csv.writer's writerow per row, or of print(json.dumps(list, indent=2))
-    over the records' to_json_dict(): each to_json_text() is its object
-    at depth 1 of that layout, so JSON is one document, never held whole.
+    over the records' objects: each to_json_text() is its object at
+    depth 1 of that layout, so JSON is one document, never held whole.
     csv is imported only by the format that writes it.
     """
     fmt = args.format

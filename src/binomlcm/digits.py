@@ -30,9 +30,8 @@ its precision in a local copy of the thread's decimal context.
   conversion is subquadratic where int -> str on Python 3.11 is
   quadratic.
 * A record's flags are spelled here once, for every record type: FLAGS
-  is a flag's text in CSV ("false", "true"), VERDICTS a verdict's in
-  plain text ("FAIL", "ok"), each indexed by the flag. csv_row() turns a
-  record's values into CSV cells, a bool through FLAGS.
+  is a flag's text in CSV and JSON ("false", "true"), VERDICTS a
+  verdict's in plain text ("FAIL", "ok"), each indexed by the flag.
 * Records and value documents write their own JSON text, byte for byte
   what the json module writes: a flag through FLAGS (JSON's own
   spelling), a string through json_str() and a float through
@@ -87,11 +86,6 @@ def json_float(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
-
-
-def csv_row(values: Iterable) -> list[str]:
-    """A record's CSV cells: a bool spelled as FLAGS spells it, any other value as str() does."""
-    return [FLAGS[v] if isinstance(v, bool) else str(v) for v in values]
 
 
 def decimal_digits(x: int) -> int:

@@ -55,7 +55,7 @@ from itertools import chain, pairwise, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .caps import DEFAULT_CAPS, ResourceCaps
-from .digits import FLAGS, VERDICTS, csv_row, decimal_str, json_str
+from .digits import FLAGS, VERDICTS, decimal_str, json_str
 from .engine import BinomialRow, iter_binomial_rows, iter_range_lcms, row_quotient
 from .errors import DomainError, InternalConsistencyError, require_int
 
@@ -117,7 +117,10 @@ class IdentityReport(NamedTuple):
         )
 
     def to_csv_row(self) -> list[str]:
-        return csv_row(self.to_json_dict().values())
+        return [
+            self.theorem.value, str(self.n), decimal_str(self.lhs), decimal_str(self.rhs),
+            FLAGS[self.holds], self.lhs_method, self.rhs_method,
+        ]
 
     def to_json_text(self) -> str:
         return (
@@ -126,17 +129,6 @@ class IdentityReport(NamedTuple):
             f'    "holds": {FLAGS[self.holds]},\n    "lhs_method": {json_str(self.lhs_method)},\n'
             f'    "rhs_method": {json_str(self.rhs_method)}\n  }}'
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "n": self.n,
-            "lhs": decimal_str(self.lhs),
-            "rhs": decimal_str(self.rhs),
-            "holds": self.holds,
-            "lhs_method": self.lhs_method,
-            "rhs_method": self.rhs_method,
-        }
 
 
 class EquivalenceChainReport(NamedTuple):
@@ -170,15 +162,10 @@ class EquivalenceChainReport(NamedTuple):
     def to_csv_row(self) -> list[str]:
         # Flattened onto IDENTITY_CSV_HEADER: the chain's endpoints become
         # lhs/rhs. Full detail is in JSON.
-        return csv_row((
-            Theorem.CHAIN.value,
-            self.n,
-            decimal_str(self.q_nair),
-            decimal_str(self.q_range),
-            self.all_equal,
-            "weighted row fold (chain head)",
-            "prime-power factorization of lcm(1..n) (chain tail)",
-        ))
+        return [
+            "CHAIN", str(self.n), decimal_str(self.q_nair), decimal_str(self.q_range), FLAGS[self.all_equal],
+            "weighted row fold (chain head)", "prime-power factorization of lcm(1..n) (chain tail)",
+        ]
 
     def to_json_text(self) -> str:
         return (
@@ -187,17 +174,6 @@ class EquivalenceChainReport(NamedTuple):
             f'    "q_thm3_lhs": "{decimal_str(self.q_thm3_lhs)}",\n'
             f'    "q_range": "{decimal_str(self.q_range)}",\n    "all_equal": {FLAGS[self.all_equal]}\n  }}'
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": Theorem.CHAIN.value,
-            "n": self.n,
-            "q_nair": decimal_str(self.q_nair),
-            "q_thm4_rhs": decimal_str(self.q_thm4_rhs),
-            "q_thm3_lhs": decimal_str(self.q_thm3_lhs),
-            "q_range": decimal_str(self.q_range),
-            "all_equal": self.all_equal,
-        }
 
 
 # --- registry and sweep ---------------------------------------------------

@@ -1,13 +1,26 @@
 """Independent oracles the library is checked against.
 
 Everything here goes through routes the library does not use: direct
-divide-out factorization, math.comb, and plain math.lcm folds. Keeping
-these separate from the package is the point; a bug in binomlcm cannot
-hide in its own oracle.
+divide-out factorization, math.comb, plain math.lcm folds, and the json
+module's own parser and layout. Keeping these separate from the package
+is the point; a bug in binomlcm cannot hide in its own oracle.
 """
 
+import json
 import math
 from functools import reduce
+
+
+def json_document(text: str):
+    """The value a JSON document holds; the text must be json's own layout of it.
+
+    That layout is json.dumps(value, indent=2) and a newline, as print
+    writes it. A NaN parses to a float that equals nothing, so compare a
+    document holding floats through json.dumps.
+    """
+    value = json.loads(text)
+    assert text == json.dumps(value, indent=2) + "\n"
+    return value
 
 
 def vp_by_division(m: int, p: int) -> int:

@@ -150,7 +150,7 @@ MUTANTS = [
         "    return _emit(args, iter_psi_table(",
         "    from .bounds import psi_table\n\n    return _emit(args, psi_table(",
         ("tests/test_bounds.py::TestIterPsiTable::test_bounds_holds_no_record_list",
-         "tests/test_bounds.py::TestIterPsiTable::test_a_closed_pipe_stops_the_sweep"),
+         "tests/test_cli.py::TestUsageAndCaps::test_pipe_safe_when_downstream_closes_early[plain-1000000]"),
     ),
     Mutant(
         "log2-3-bound-above-log2-3", "bounds.py",
@@ -335,6 +335,23 @@ MUTANTS = [
          "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict"),
     ),
     Mutant(
+        # str() spells a flag as Python does, not as CSV and JSON do. Each
+        # CSV row's direct check is named first: the child stops at the first
+        # failure, before Hypothesis spends some 14 s shrinking the second's.
+        "identity-csv-flag-by-str", "identities.py",
+        "FLAGS[self.holds], self.lhs_method",
+        "str(self.holds), self.lhs_method",
+        ("tests/test_records.py::test_identity_verdict_is_read_off_the_sides",
+         "tests/test_cli.py::TestRecordProtocol::test_each_csv_cell_is_its_json_value[identity]"),
+    ),
+    Mutant(
+        "chain-csv-flag-by-str", "identities.py",
+        "decimal_str(self.q_range), FLAGS[self.all_equal],",
+        "decimal_str(self.q_range), str(self.all_equal),",
+        ("tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities",
+         "tests/test_cli.py::TestRecordProtocol::test_each_csv_cell_is_its_json_value[chain]"),
+    ),
+    Mutant(
         "factorization-duplicates-only-above-zero", "engine.py",
         "            seen[p] = e\n",
         "            if e > 0:\n                seen[p] = e\n",
@@ -435,6 +452,13 @@ MUTANTS = [
         "    ns = [require_int(n, smallest,",
         "    [require_int(n, smallest,",
         ("tests/test_bench.py::test_an_iterator_of_n_benches_as_its_list_does[range]",),
+    ),
+    Mutant(
+        "bench-csv-median-p90-swapped", "bench.py",
+        "str(self.median_ns), str(self.p90_ns)",
+        "str(self.p90_ns), str(self.median_ns)",
+        ("tests/test_bench.py::TestRecordOutput::test_every_csv_cell_of_a_timed_record",
+         "tests/test_cli.py::TestRecordProtocol::test_each_csv_cell_is_its_json_value[bench]"),
     ),
     Mutant(
         "digits-check-sees-int", "digits.py",

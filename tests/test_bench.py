@@ -1,5 +1,6 @@
 """Bench harness: attestation before timing, abort on disagreement."""
 
+import argparse
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,8 @@ from binomlcm import (
 from binomlcm import bench
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.caps import CAP_FIELDS
-from binomlcm.cli import run
+from binomlcm.cli import _emit, run
+from helpers import json_document
 
 
 class CountingMethod:
@@ -228,9 +230,28 @@ class TestRecordOutput:
             assert fields[0] == "row_lcm"
             assert fields[-1] == "true"
 
-    def test_json_dict(self):
-        (rec,) = bench_range_methods([10], 3, methods={"fold": lambda n: 2520})
-        doc = rec.to_json_dict()
-        assert list(doc) == ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
-        assert doc["task"] == "range_lcm"
-        assert doc["verified"] is True
+    def test_every_csv_cell_of_a_timed_record(self, capsys, monkeypatch):
+        # No golden digest holds a bench row, whose timings vary; a fake
+        # clock fixes them, with the median and p90 apart.
+        clock = [0]
+        durations = iter([999, 999, 50, 10, 40, 30, 20])
+
+        def fake(_n):
+            clock[0] += next(durations)
+            return 2520
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=lambda: clock[0]))
+        records = bench_range_methods([10], 5, methods={"fold": fake})
+        assert _emit(argparse.Namespace(format="csv"), records, BENCH_CSV_HEADER) == 0
+        assert capsys.readouterr().out == (
+            "task,method,n,reps,median_ns,p90_ns,digits,verified\n"
+            "range_lcm,fold,10,5,30,50,4,true\n"
+        )
+
+    def test_json_document(self, capsys):
+        assert run(["bench", "range", "--ns", "10", "--reps", "3", "--format", "json"]) == 0
+        docs = json_document(capsys.readouterr().out)
+        assert [doc["method"] for doc in docs] == ["fold", "factorization"]
+        for doc in docs:
+            assert list(doc) == ["task", "method", "n", "reps", "median_ns", "p90_ns", "digits", "verified"]
+            assert (doc["task"], doc["n"], doc["reps"], doc["digits"], doc["verified"]) == ("range_lcm", 10, 3, 4, True)

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binomlcm import (
@@ -37,7 +37,7 @@ from binomlcm.cli import _emit, run
 from binomlcm.digits import decimal_str, json_float, json_str
 from binomlcm.engine import ROW_ROUTES, lcm_range
 from binomlcm.identities import IDENTITY_CSV_HEADER
-from helpers import brute_range_lcm
+from helpers import brute_range_lcm, json_document
 
 
 def invoke(capsys, *argv):
@@ -428,6 +428,20 @@ CAP_CASES = [
 ]
 
 
+# (format, --to, unbuffered stdout, seconds allowed) for a bounds child cut off by head.
+PIPE_CASES = [
+    *(
+        pytest.param(fmt, "3000", unbuffered, 60, id=f"{fmt}-3000" + "-unbuffered" * unbuffered)
+        for fmt in ("plain", "csv", "json")
+        for unbuffered in (False, True)
+    ),
+    # Streamed, this run ends in about 0.1 s; a held list of 10**6 records peaks near 190 MB.
+    pytest.param("plain", "1000000", False, 5, id="plain-1000000"),
+    # The sieve cap: a held list of 10**7 records would need about 2 GB.
+    pytest.param("plain", "10000000", False, 60, id="plain-10000000"),
+]
+
+
 class TestUsageAndCaps:
     def test_no_arguments(self, capsys):
         code, _, err = invoke(capsys)
@@ -480,38 +494,37 @@ class TestUsageAndCaps:
         code, out, err = invoke(capsys, "verify", "--theorem", "1", "--from", "0", "--to", "2")
         assert out == "" and err != ""
 
-    def test_pipe_safe_when_downstream_closes_early(self):
+    @pytest.mark.parametrize("fmt, max_n, unbuffered, limit_s", PIPE_CASES)
+    def test_pipe_safe_when_downstream_closes_early(self, fmt, max_n, unbuffered, limit_s):
         # | head -n 3 must get the first three lines, with no BrokenPipeError
         # traceback and exit 0, in every format and with stdout unbuffered
         # too (each write is then a system call); 3000 records are many
-        # batches. A sweep to the sieve cap, 10**7, ends at the first write
-        # after head exits, within 60 s.
-        cases = [(fmt, "3000", unbuffered) for fmt in ("plain", "csv", "json") for unbuffered in (False, True)]
-        for fmt, max_n, unbuffered in [*cases, ("plain", "10000000", False)]:
-            whole = io.StringIO()
-            with contextlib.redirect_stdout(whole):
-                assert run(["bounds", "--to", "3000", "--format", fmt]) == 0
-            expected = whole.getvalue().splitlines(keepends=True)[:3]  # the same for any --to
-            start = time.monotonic()
-            child = subprocess.Popen(
-                [*CLI, "bounds", "--to", max_n, "--format", fmt],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env=child_env(unbuffered),
-            )
-            try:
-                head = subprocess.run(
-                    ["head", "-n", "3"], stdin=child.stdout, capture_output=True, text=True, timeout=60
-                )
-                child.stdout.close()
-                err = child.stderr.read().decode()
-                child.stderr.close()
-                assert child.wait(timeout=60) == 0, (fmt, max_n, unbuffered, err)
-            finally:
-                child.kill()
-            assert time.monotonic() - start < 60, (fmt, max_n, unbuffered)
-            assert "Traceback" not in err, (fmt, max_n, unbuffered)
-            assert head.stdout.splitlines(keepends=True) == expected, (fmt, max_n, unbuffered)
+        # batches. A sweep ends at the first write after head exits, long
+        # before it would finish. The child runs the package this process
+        # imported (child_env), so a copy of the source put first on
+        # PYTHONPATH is the one it runs.
+        whole = io.StringIO()
+        with contextlib.redirect_stdout(whole):
+            assert run(["bounds", "--to", "3000", "--format", fmt]) == 0
+        expected = whole.getvalue().splitlines(keepends=True)[:3]  # the same for any --to
+        start = time.monotonic()
+        child = subprocess.Popen(
+            [*CLI, "bounds", "--to", max_n, "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(unbuffered),
+        )
+        try:
+            head = subprocess.run(["head", "-n", "3"], stdin=child.stdout, capture_output=True, text=True, timeout=60)
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            child.stderr.close()
+            assert child.wait(timeout=60) == 0, err
+        finally:
+            child.kill()
+        assert time.monotonic() - start < limit_s
+        assert "Traceback" not in err
+        assert head.stdout.splitlines(keepends=True) == expected
 
 
 # Run as its own process, it starts the command in its argv, which writes to
@@ -641,28 +654,6 @@ class TestHelpBytes:
         assert code == 2 and out == "" and f"argument --theorem: invalid choice: '{name}'" in err
 
 
-class TestRecordProtocol:
-    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
-    def test_csv_row_fits_header_and_ok_is_the_flag(self, record, header, flag, expected):
-        assert len(record.to_csv_row()) == len(header)
-        assert record.ok is getattr(record, flag) is expected
-        assert "\n" not in record.plain_line()
-
-    @pytest.mark.parametrize("record, header", [(c[0], c[1]) for c in PROTOCOL_CASES[:2] + PROTOCOL_CASES[-2:]])
-    def test_an_identity_or_bench_csv_row_is_its_json_dict(self, record, header):
-        # Both read their CSV row off to_json_dict(), so its keys are the header.
-        doc = record.to_json_dict()
-        assert list(doc) == header
-        assert record.to_csv_row() == [str(v).lower() if isinstance(v, bool) else str(v) for v in doc.values()]
-
-    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
-    def test_emit_exit_code_follows_ok(self, capsys, fmt, record, header, flag, expected):
-        code = _emit(argparse.Namespace(format=fmt), [record], header)
-        assert code == (0 if expected else 1)
-        assert capsys.readouterr().out != ""
-
-
 def _emit_json(records) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -693,6 +684,75 @@ _RECORDS = {
 }
 
 
+def _document(record) -> dict:
+    """The JSON object of a record, derived from its fields: sides by str(), verdicts off the quantities."""
+    if isinstance(record, IdentityReport):
+        theorem, n, lhs, rhs, lhs_method, rhs_method = record
+        sides = {"lhs": str(lhs), "rhs": str(rhs), "holds": lhs == rhs}
+        return {"theorem": theorem.value, "n": n, **sides, "lhs_method": lhs_method, "rhs_method": rhs_method}
+    if isinstance(record, EquivalenceChainReport):
+        n, *quantities = record
+        named = {name: str(q) for name, q in zip(record._fields[1:], quantities)}
+        return {"theorem": "CHAIN", "n": n, **named, "all_equal": len(set(quantities)) == 1}
+    if isinstance(record, BoundsRecord):
+        n, lcm_digits, lower_2nm1, lower_2n, upper_3n, psi = record
+        flags = {"holds_2nm1": lower_2nm1, "holds_2n": lower_2n, "holds_2n_required": n >= 9, "holds_3n": upper_3n}
+        return {"n": n, "lcm_digits": lcm_digits, **flags, "psi_over_n": psi}
+    return {**record._asdict(), "task": record.task.value}
+
+
+def _assert_json_of_fields(records):
+    # Floats through json.dumps: a NaN equals nothing, not even itself.
+    assert json.dumps(json_document(_emit_json(records))) == json.dumps([_document(r) for r in records])
+
+
+# Each kind's CSV header, and the JSON name of a column that has another one there.
+_CSV_COLUMNS = {
+    "identity": (IDENTITY_CSV_HEADER, {}),
+    "chain": (IDENTITY_CSV_HEADER, {"lhs": "q_nair", "rhs": "q_range", "holds": "all_equal"}),
+    "bounds": (BOUNDS_CSV_HEADER, {}),
+    "bench": (BENCH_CSV_HEADER, {}),
+}
+
+
+class TestRecordProtocol:
+    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
+    def test_csv_row_fits_header_and_ok_is_the_flag(self, record, header, flag, expected):
+        assert len(record.to_csv_row()) == len(header)
+        assert record.ok is getattr(record, flag) is expected
+        assert "\n" not in record.plain_line()
+
+    @pytest.mark.parametrize("kind", list(_RECORDS))
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_each_csv_cell_is_its_json_value(self, kind, data):
+        record = data.draw(_RECORDS[kind])
+        header, json_names = _CSV_COLUMNS[kind]
+        row = record.to_csv_row()
+        assert len(row) == len(header)
+        if sys.version_info < (3, 11):
+            assume("\x00" not in "".join(row))  # csv reads a NUL from Python 3.11 on
+        out = io.StringIO()
+        csv.writer(out).writerow(row)
+        assert next(csv.reader(io.StringIO(out.getvalue(), newline=""))) == row
+        (doc,) = json_document(_emit_json([record]))
+        cells = dict(zip(header, row))
+        if kind == "chain":
+            del cells["lhs_method"], cells["rhs_method"]  # fixed labels, not in its JSON
+        if kind == "bounds":
+            assert cells.pop("psi_over_n") == format(doc["psi_over_n"], ".12g")
+        for column, cell in cells.items():
+            value = doc[json_names.get(column, column)]
+            assert cell == (value if isinstance(value, str) else json.dumps(value)), column
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("record, header, flag, expected", PROTOCOL_CASES)
+    def test_emit_exit_code_follows_ok(self, capsys, fmt, record, header, flag, expected):
+        code = _emit(argparse.Namespace(format=fmt), [record], header)
+        assert code == (0 if expected else 1)
+        assert capsys.readouterr().out != ""
+
+
 class TestJsonWriter:
     """Records write their own JSON text, as one json.dumps(list, indent=2) document."""
 
@@ -709,18 +769,15 @@ class TestJsonWriter:
     @pytest.mark.parametrize("kind", list(_RECORDS))
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
-    def test_each_record_type_is_its_json_dict(self, kind, data):
-        record = data.draw(_RECORDS[kind])
-        assert _emit_json([record]) == json.dumps([record.to_json_dict()], indent=2) + "\n"
+    def test_each_record_type_is_json_of_its_fields(self, kind, data):
+        _assert_json_of_fields([data.draw(_RECORDS[kind])])
 
     @pytest.mark.parametrize("count", [63, 64, 65, 129])
     def test_around_the_write_batch(self, count):
-        records = psi_table(count)
-        assert _emit_json(records) == json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+        _assert_json_of_fields(psi_table(count))
 
     def test_real_records_of_all_four_types(self):
-        records = [case[0] for case in PROTOCOL_CASES]
-        assert _emit_json(records) == json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+        _assert_json_of_fields([case[0] for case in PROTOCOL_CASES])
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_one_pass_over_any_iterable(self, capsys, fmt):
@@ -749,7 +806,7 @@ class _CountingStdout(io.StringIO):
 def _per_record(fmt, records, csv_header, plain_header) -> str:
     """What a print or writerow per record prints."""
     if fmt == "json":
-        return json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+        return json.dumps([_document(r) for r in records], indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

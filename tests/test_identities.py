@@ -26,7 +26,15 @@ from binomlcm import DEFAULT_CAPS, InternalConsistencyError, ResourceCapError, R
 from binomlcm.cli import run
 from binomlcm.engine import BinomialRow, iter_range_lcms, prime_power_bases, row_quotient
 from binomlcm.identities import _termwise_rhs
-from helpers import brute_range_lcm, brute_row, brute_row_lcm, brute_weighted_row_lcm, fold_lcm, vp_by_division
+from helpers import (
+    brute_range_lcm,
+    brute_row,
+    brute_row_lcm,
+    brute_weighted_row_lcm,
+    fold_lcm,
+    json_document,
+    vp_by_division,
+)
 
 
 class TestNair:
@@ -291,24 +299,29 @@ class TestSweep:
 
 
 class TestReportContracts:
-    def test_json_schema(self):
-        doc = verify_nair(4).to_json_dict()
-        assert doc == {
-            "theorem": "T1",
-            "n": 4,
-            "lhs": "12",
-            "rhs": "12",
-            "holds": True,
-            "lhs_method": doc["lhs_method"],
-            "rhs_method": doc["rhs_method"],
-        }
-        assert isinstance(doc["lhs"], str) and isinstance(doc["rhs"], str)
+    def test_json_schema(self, capsys):
+        assert run(["verify", "--theorem", "1", "--from", "4", "--to", "4", "--format", "json"]) == 0
+        (doc,) = json_document(capsys.readouterr().out)
+        report = verify_nair(4)
+        assert list(doc.items()) == [
+            ("theorem", "T1"),
+            ("n", 4),
+            ("lhs", "12"),
+            ("rhs", "12"),
+            ("holds", True),
+            ("lhs_method", report.lhs_method),
+            ("rhs_method", report.rhs_method),
+        ]
 
-    def test_chain_json_schema(self):
-        doc = equivalence_chain(4).to_json_dict()
-        assert list(doc) == ["theorem", "n", "q_nair", "q_thm4_rhs", "q_thm3_lhs", "q_range", "all_equal"]
-        assert doc["theorem"] == "CHAIN"
-        assert doc["q_nair"] == "12"
+    def test_chain_json_schema(self, capsys):
+        assert run(["verify", "--theorem", "chain", "--from", "4", "--to", "4", "--format", "json"]) == 0
+        (doc,) = json_document(capsys.readouterr().out)
+        assert list(doc.items()) == [
+            ("theorem", "CHAIN"),
+            ("n", 4),
+            *[(name, "12") for name in ["q_nair", "q_thm4_rhs", "q_thm3_lhs", "q_range"]],
+            ("all_equal", True),
+        ]
 
     def test_bridge_is_structural(self):
         # T4 shares its lhs with T1 and its rhs with T3, by code path;

@@ -23,6 +23,7 @@ from binomlcm import (
     equivalence_chain,
     verify_nair,
 )
+from helpers import json_document
 
 # (a valid record, a field, a value the constructor refuses)
 INVALID = [
@@ -60,14 +61,18 @@ def _ways_to_build(record, name, value):
 
 
 def _verdict_everywhere(record, verdict):
-    """The verdict as the record's flag, ok, and each output format show it."""
+    """The verdict as the record's flag, ok, and each output format show it.
+
+    A record's JSON object is written at depth 1 of the list document
+    the CLI prints, so one record's document is that list of one.
+    """
     flag = "holds" if isinstance(record, IdentityReport) else "all_equal"
     return (
         getattr(record, flag) is verdict
         and record.ok is verdict
         and record.plain_line().split()[2] == ("ok" if verdict else "FAIL")
         and record.to_csv_row()[4] == ("true" if verdict else "false")
-        and record.to_json_dict()[flag] is verdict
+        and json_document(f"[\n  {record.to_json_text()}\n]\n")[0][flag] is verdict
     )
 
 
