@@ -25,14 +25,13 @@ variables, then --max-* flags (flags win).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from itertools import islice
 
 from .bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, iter_psi_table
 from .caps import CAP_FIELDS, ResourceCaps
-from .digits import decimal_digits, decimal_str, json_str
+from .digits import csv_line, decimal_digits, decimal_str, json_str
 from .engine import ROW_ROUTES, PrimePowerFactorization, lcm_range
 from .errors import DomainError, InternalConsistencyError, ResourceCapError
 from .identities import IDENTITY_CSV_HEADER, Theorem, verify_range
@@ -148,44 +147,27 @@ def _emit(args, records, csv_header, plain_header=None) -> int:
     come, in one pass, so records may be any iterable. They are taken
     _BATCH at a time, every record's ok is read, and each batch goes out
     as one string in one write, the header or the opening bracket in the
-    first. The bytes are those of print(r.plain_line()) per record, of a
-    csv.writer's writerow per row, or of print(json.dumps(list, indent=2))
-    over the records' objects: each to_json_text() is its object at
-    depth 1 of that layout, so JSON is one document, never held whole.
-    csv is imported only by the format that writes it.
+    first; each format is its (first, separator, closing, empty, render).
+    The bytes are those of print(r.plain_line()) per record, of csv_line()
+    per row, or of print(json.dumps(list, indent=2)) over the records'
+    objects: each to_json_text() is its object at depth 1 of that layout,
+    so JSON is one document, never held whole.
     """
-    fmt = args.format
-    if fmt == "json":
-        first, later, closing, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
-    else:
-        first = later = closing = ""
-        if fmt == "csv":
-            import csv
-
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(csv_header)  # stays in the buffer for the first batch
-            empty = buffer.getvalue()
-        else:
-            first = empty = "" if plain_header is None else plain_header + "\n"
+    plain = "" if plain_header is None else plain_header + "\n"
+    header = csv_line(csv_header)
+    first, separator, closing, empty, render = {
+        "plain": (plain, "", "", plain, lambda r: r.plain_line() + "\n"),
+        "csv": (header, "", "", header, lambda r: csv_line(r.to_csv_row())),
+        "json": ("[\n  ", ",\n  ", "\n]\n", "[]\n", lambda r: r.to_json_text()),
+    }[args.format]
     ok = True
-    lead, wrote = first, False
+    lead, tail = first, empty
     records = iter(records)
     while batch := list(islice(records, _BATCH)):
         for r in batch:
             ok &= r.ok
-        if fmt == "json":
-            text = ",\n  ".join([r.to_json_text() for r in batch])
-        elif fmt == "csv":
-            writer.writerows([r.to_csv_row() for r in batch])
-            text = buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate()
-        else:
-            text = "".join([r.plain_line() + "\n" for r in batch])
-        sys.stdout.write(lead + text)
-        lead, wrote = later, True
-    tail = closing if wrote else empty
+        sys.stdout.write(lead + separator.join([render(r) for r in batch]))
+        lead, tail = separator, closing
     if tail:
         sys.stdout.write(tail)
     return 0 if ok else 1
@@ -215,9 +197,7 @@ def _emit_value(args, result, **extra) -> int:
     if text is not None:
         fields["value"] = text
     if args.format == "csv":
-        import csv
-
-        csv.writer(sys.stdout, lineterminator="\n").writerows([list(fields), list(fields.values())])
+        sys.stdout.write(csv_line(list(fields)) + csv_line([str(v) for v in fields.values()]))
         return 0
     members = [f'  "{k}": {json_str(v) if isinstance(v, str) else v}' for k, v in fields.items()]
     ahead = 1 + len(extra)  # n and extra come before the factorization

@@ -38,6 +38,10 @@ its precision in a local copy of the thread's decimal context.
   json_float(). json_str() writes printable ASCII with no quote and no
   backslash as it is, and hands any other string to json.dumps, so json
   is imported only for such a string.
+* csv_line() writes a CSV row as Python 3.13's csv.writer does, on every
+  Python: a cell holding a comma, a quote, CR or LF is quoted, its quotes
+  doubled, and a row of one empty cell is written "", not as a blank line.
+  The csv module of 3.10 to 3.12 leaves a CR bare; the row reads back split.
 """
 
 from __future__ import annotations
@@ -86,6 +90,19 @@ def json_float(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
+
+
+def _csv_bare(text: str, commas: int) -> bool:
+    # text holds this many commas, and no other character that a CSV cell is quoted for.
+    return text.count(",") == commas and '"' not in text and "\r" not in text and "\n" not in text
+
+
+def csv_line(cells: list[str]) -> str:
+    """One CSV row of text cells, ended by LF."""
+    line = ",".join(cells)
+    if not _csv_bare(line, len(cells) - 1):  # some cell is quoted
+        line = ",".join([c if _csv_bare(c, 0) else '"' + c.replace('"', '""') + '"' for c in cells])
+    return (line if line or not cells else '""') + "\n"
 
 
 def decimal_digits(x: int) -> int:

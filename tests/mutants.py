@@ -93,27 +93,30 @@ MUTANTS = [
     ),
     Mutant(
         "json-join-one-space-short", "cli.py",
-        'text = ",\\n  ".join(',
-        'text = ",\\n ".join(',
+        '"[\\n  ", ",\\n  ", ',
+        '"[\\n  ", ",\\n ", ',
         ("tests/test_cli.py::TestJsonWriter::test_around_the_write_batch",),
     ),
     Mutant(
         "json-str-quote-unchecked", "digits.py",
         "'\"' not in s and ",
         "",
-        ("tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps",),
+        ("tests/test_cli.py::TestJsonWriter::test_json_str_examples[quote]",
+         "tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps"),
     ),
     Mutant(
         "json-str-backslash-unchecked", "digits.py",
         ' and "\\\\" not in s',
         "",
-        ("tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps",),
+        ("tests/test_cli.py::TestJsonWriter::test_json_str_examples[backslash]",
+         "tests/test_cli.py::TestJsonWriter::test_json_str_is_json_dumps"),
     ),
     Mutant(
         "json-float-non-finite-by-repr", "digits.py",
         'return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"',
         "return repr(x)",
-        ("tests/test_cli.py::TestJsonWriter::test_json_float_is_json_dumps",),
+        ("tests/test_cli.py::TestJsonWriter::test_json_float_examples",
+         "tests/test_cli.py::TestJsonWriter::test_json_float_is_json_dumps"),
     ),
     Mutant(
         "pair-writer-drops-last-partial-batch", "cli.py",
@@ -128,10 +131,27 @@ MUTANTS = [
         ("tests/test_cli.py::TestValueJson::test_matches_json_dumps_indent_2[range-1-False]",),
     ),
     Mutant(
-        "csv-buffer-not-reset", "cli.py",
-        "            buffer.truncate()\n",
+        # Python 3.10 to 3.12's csv.writer: a CR in a cell left bare, and the row read back split.
+        "csv-cr-not-quoted", "digits.py",
+        ' and "\\r" not in text',
         "",
-        ("tests/test_cli.py::TestBatchedWrites::test_one_write_per_batch_and_the_same_bytes",),
+        ("tests/test_cli.py::TestCsvLine::test_pinned_bytes[cr]",
+         "tests/test_cli.py::TestCsvLine::test_a_cr_in_a_report_reads_back_as_one_row"),
+    ),
+    Mutant(
+        "csv-inner-quotes-not-doubled", "digits.py",
+        """'"' + c.replace('"', '""') + '"'""",
+        """'"' + c + '"'""",
+        ("tests/test_cli.py::TestCsvLine::test_pinned_bytes[quotes-doubled]",
+         "tests/test_cli.py::TestCsvLine::test_reads_back_as_its_cells"),
+    ),
+    Mutant(
+        # A row of one empty cell would read back as a blank line, a row of no cells.
+        "csv-one-empty-cell-unquoted", "digits.py",
+        """(line if line or not cells else '""')""",
+        "line",
+        ("tests/test_cli.py::TestCsvLine::test_pinned_bytes[one-empty-cell]",
+         "tests/test_cli.py::TestCsvLine::test_reads_back_as_its_cells"),
     ),
     Mutant(
         "bench-imported-at-cli-top", "cli.py",
@@ -141,9 +161,9 @@ MUTANTS = [
     ),
     Mutant(
         "json-imported-at-cli-top", "cli.py",
-        "import argparse\nimport io\n",
-        "import argparse\nimport io\nimport json  # noqa: F401\n",
-        ("tests/test_import_path.py::test_json_and_csv_load_only_with_their_output_format",),
+        "import argparse\nimport os\n",
+        "import argparse\nimport json  # noqa: F401\nimport os\n",
+        ("tests/test_import_path.py::test_no_output_format_loads_json_or_csv",),
     ),
     Mutant(
         "bounds-cli-holds-the-list", "cli.py",
@@ -229,8 +249,9 @@ MUTANTS = [
         "factorization-tail-of-one-one", "engine.py",
         "chain(self._exps, repeat(1))",
         "chain(self._exps, repeat(1, 1))",
-        ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",
-         "tests/test_engine.py::TestLcmRange::test_six"),
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_one_value_stored_whole_or_as_a_prefix",
+         "tests/test_engine.py::TestLcmRange::test_six",
+         "tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value"),
     ),
     Mutant(
         # One int object per prime: lcm-range 10000000 --digits-only still
@@ -251,14 +272,16 @@ MUTANTS = [
         "factorization-eq-primes-only", "engine.py",
         "return self._primes == other._primes and all(map(eq, self.items(), other.items()))",
         "return self._primes == other._primes",
-        ("tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict",),
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_one_value_stored_whole_or_as_a_prefix",
+         "tests/test_engine.py::TestFactorizationAgainstDict::test_both_builds_agree_with_the_dict"),
     ),
     Mutant(
         # Two builds of one value may store exponent tuples of different lengths.
         "factorization-eq-stored-exponents", "engine.py",
         "return self._primes == other._primes and all(map(eq, self.items(), other.items()))",
         "return self._primes == other._primes and self._exps == other._exps",
-        ("tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value",),
+        ("tests/test_engine.py::TestFactorizationAgainstDict::test_one_value_stored_whole_or_as_a_prefix",
+         "tests/test_engine.py::TestFactorizationAgainstDict::test_a_stored_prefix_and_its_tail_of_ones_are_one_value"),
     ),
     Mutant(
         # lcm_sequence's elements go through the one shared check.
@@ -323,32 +346,32 @@ MUTANTS = [
         "identity-holds-always-true", "identities.py",
         "        return self.lhs == self.rhs\n",
         "        return True\n",
-        ("tests/test_records.py::test_identity_verdict_is_read_off_the_sides",
-         "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict",
-         "tests/test_cli.py::TestVerify::test_failing_report_exits_one"),
+        ("tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict[identity-rhs]",
+         "tests/test_cli.py::TestVerify::test_failing_report_exits_one",
+         "tests/test_records.py::test_identity_verdict_is_read_off_the_sides"),
     ),
     Mutant(
         "chain-all-equal-ignores-range", "identities.py",
         "return self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs == self.q_range",
         "return self.q_nair == self.q_thm4_rhs == self.q_thm3_lhs",
-        ("tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities",
-         "tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict"),
+        ("tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict[chain-range]",
+         "tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities"),
     ),
     Mutant(
-        # str() spells a flag as Python does, not as CSV and JSON do. Each
-        # CSV row's direct check is named first: the child stops at the first
-        # failure, before Hypothesis spends some 14 s shrinking the second's.
+        # str() spells a flag as Python does, not as CSV and JSON do.
         "identity-csv-flag-by-str", "identities.py",
         "FLAGS[self.holds], self.lhs_method",
         "str(self.holds), self.lhs_method",
-        ("tests/test_records.py::test_identity_verdict_is_read_off_the_sides",
+        ("tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict[identity-rhs]",
+         "tests/test_records.py::test_identity_verdict_is_read_off_the_sides",
          "tests/test_cli.py::TestRecordProtocol::test_each_csv_cell_is_its_json_value[identity]"),
     ),
     Mutant(
         "chain-csv-flag-by-str", "identities.py",
         "decimal_str(self.q_range), FLAGS[self.all_equal],",
         "decimal_str(self.q_range), str(self.all_equal),",
-        ("tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities",
+        ("tests/test_records.py::test_every_way_to_build_a_report_recomputes_its_verdict[chain-range]",
+         "tests/test_records.py::test_chain_verdict_is_read_off_all_four_quantities",
          "tests/test_cli.py::TestRecordProtocol::test_each_csv_cell_is_its_json_value[chain]"),
     ),
     Mutant(

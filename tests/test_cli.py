@@ -34,7 +34,7 @@ from binomlcm import cli
 from binomlcm.bench import BENCH_CSV_HEADER
 from binomlcm.bounds import BOUNDS_CSV_HEADER, BOUNDS_PLAIN_HEADER, psi_table
 from binomlcm.cli import _emit, run
-from binomlcm.digits import decimal_str, json_float, json_str
+from binomlcm.digits import csv_line, decimal_str, json_float, json_str
 from binomlcm.engine import ROW_ROUTES, lcm_range
 from binomlcm.identities import IDENTITY_CSV_HEADER
 from helpers import brute_range_lcm, json_document
@@ -428,15 +428,17 @@ CAP_CASES = [
 ]
 
 
-# (format, --to, unbuffered stdout, seconds allowed) for a bounds child cut off by head.
+# (format, --to, unbuffered stdout, seconds allowed to the first line) for a
+# bounds child cut off by head.
 PIPE_CASES = [
     *(
         pytest.param(fmt, "3000", unbuffered, 60, id=f"{fmt}-3000" + "-unbuffered" * unbuffered)
         for fmt in ("plain", "csv", "json")
         for unbuffered in (False, True)
     ),
-    # Streamed, this run ends in about 0.1 s; a held list of 10**6 records peaks near 190 MB.
-    pytest.param("plain", "1000000", False, 5, id="plain-1000000"),
+    # Streamed, the first line comes with the first batch, in about 0.1 s; a
+    # held list of 10**6 records, near 190 MB, is built first, in 4 to 6 s.
+    pytest.param("plain", "1000000", False, 2, id="plain-1000000"),
     # The sieve cap: a held list of 10**7 records would need about 2 GB.
     pytest.param("plain", "10000000", False, 60, id="plain-10000000"),
 ]
@@ -496,13 +498,14 @@ class TestUsageAndCaps:
 
     @pytest.mark.parametrize("fmt, max_n, unbuffered, limit_s", PIPE_CASES)
     def test_pipe_safe_when_downstream_closes_early(self, fmt, max_n, unbuffered, limit_s):
-        # | head -n 3 must get the first three lines, with no BrokenPipeError
-        # traceback and exit 0, in every format and with stdout unbuffered
-        # too (each write is then a system call); 3000 records are many
-        # batches. A sweep ends at the first write after head exits, long
-        # before it would finish. The child runs the package this process
-        # imported (child_env), so a copy of the source put first on
-        # PYTHONPATH is the one it runs.
+        # A reader that takes the first line and hands the pipe to head -n 2
+        # must get the first three lines, with no BrokenPipeError traceback
+        # and exit 0, in every format and with stdout unbuffered too (each
+        # write is then a system call); 3000 records are many batches. A
+        # sweep ends at the first write after head exits, long before it
+        # would finish, and its first line comes with its first batch. The
+        # child runs the package this process imported (child_env), so a
+        # copy of the source put first on PYTHONPATH is the one it runs.
         whole = io.StringIO()
         with contextlib.redirect_stdout(whole):
             assert run(["bounds", "--to", "3000", "--format", fmt]) == 0
@@ -512,19 +515,22 @@ class TestUsageAndCaps:
             [*CLI, "bounds", "--to", max_n, "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            bufsize=0,  # readline() then reads the pipe up to the first newline and no further
             env=child_env(unbuffered),
         )
         try:
-            head = subprocess.run(["head", "-n", "3"], stdin=child.stdout, capture_output=True, text=True, timeout=60)
+            first = child.stdout.readline().decode()
+            first_s = time.monotonic() - start
+            head = subprocess.run(["head", "-n", "2"], stdin=child.stdout, capture_output=True, text=True, timeout=60)
             child.stdout.close()
             err = child.stderr.read().decode()
             child.stderr.close()
             assert child.wait(timeout=60) == 0, err
         finally:
             child.kill()
-        assert time.monotonic() - start < limit_s
+        assert first_s < limit_s
         assert "Traceback" not in err
-        assert head.stdout.splitlines(keepends=True) == expected
+        assert [first, *head.stdout.splitlines(keepends=True)] == expected
 
 
 # Run as its own process, it starts the command in its argv, which writes to
@@ -732,9 +738,7 @@ class TestRecordProtocol:
         assert len(row) == len(header)
         if sys.version_info < (3, 11):
             assume("\x00" not in "".join(row))  # csv reads a NUL from Python 3.11 on
-        out = io.StringIO()
-        csv.writer(out).writerow(row)
-        assert next(csv.reader(io.StringIO(out.getvalue(), newline=""))) == row
+        assert next(csv.reader(io.StringIO(csv_line(row), newline=""))) == row
         (doc,) = json_document(_emit_json([record]))
         cells = dict(zip(header, row))
         if kind == "chain":
@@ -755,6 +759,23 @@ class TestRecordProtocol:
 
 class TestJsonWriter:
     """Records write their own JSON text, as one json.dumps(list, indent=2) document."""
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            pytest.param("plain text", id="plain"),
+            pytest.param('say "hi"', id="quote"),
+            pytest.param("a\\b", id="backslash"),
+            pytest.param("a\nb\x00\x7f", id="control"),
+            pytest.param("\u00e9\u2028\U0001f600", id="non-ascii"),
+        ],
+    )
+    def test_json_str_examples(self, s):
+        assert json_str(s) == json.dumps(s)
+
+    @pytest.mark.parametrize("x", [0.1, -0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf])
+    def test_json_float_examples(self, x):
+        assert json_float(x) == json.dumps(x)
 
     @given(_JSON_TEXT)
     @settings(deadline=None, max_examples=500)
@@ -789,6 +810,50 @@ class TestJsonWriter:
             assert len(json.loads(out)) == 2
         else:
             assert len(out.splitlines()) == (3 if fmt == "csv" else 2)  # csv adds its header
+
+
+# Cells with every character a CSV cell is quoted for, empty cells among them.
+_CSV_CELLS = st.lists(
+    st.text() | st.text(alphabet=st.sampled_from(',"\r\n a\x00\u00e9')) | st.just(""), max_size=5
+)
+
+
+class TestCsvLine:
+    """digits.csv_line writes the bytes of Python 3.13's csv.writer(lineterminator="\\n") on every Python."""
+
+    @pytest.mark.parametrize(
+        "cells, line",
+        [
+            pytest.param(["a\rb", "c,d"], '"a\rb","c,d"\n', id="cr"),
+            pytest.param(["a\r"], '"a\r"\n', id="cr-at-the-end"),
+            pytest.param(["x", "a\r\nb"], 'x,"a\r\nb"\n', id="crlf"),
+            pytest.param(['say "hi"', ""], '"say ""hi""",\n', id="quotes-doubled"),
+            pytest.param([""], '""\n', id="one-empty-cell"),
+            pytest.param(["", ""], ",\n", id="two-empty-cells"),
+            pytest.param([], "\n", id="no-cells"),
+            pytest.param(["1", "2.5", "true"], "1,2.5,true\n", id="bare"),
+        ],
+    )
+    def test_pinned_bytes(self, cells, line):
+        assert csv_line(cells) == line
+
+    @given(_CSV_CELLS)
+    @settings(deadline=None, max_examples=300)
+    def test_reads_back_as_its_cells(self, cells):
+        if sys.version_info < (3, 11):
+            assume("\x00" not in "".join(cells))  # csv reads a NUL from Python 3.11 on
+        line = csv_line(cells)
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [cells]
+        if "\r" not in "".join(cells):  # Python 3.10 to 3.12 leave a CR bare
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(cells)
+            assert line == out.getvalue()
+
+    def test_a_cr_in_a_report_reads_back_as_one_row(self, capsys):
+        record = IdentityReport(Theorem.T1, 5, 60, 60, "a\rb", "c")
+        assert _emit(argparse.Namespace(format="csv"), [record], IDENTITY_CSV_HEADER) == 0
+        out = capsys.readouterr().out
+        assert list(csv.reader(io.StringIO(out, newline=""))) == [IDENTITY_CSV_HEADER, record.to_csv_row()]
 
 
 class _CountingStdout(io.StringIO):

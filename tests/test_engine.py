@@ -203,6 +203,16 @@ def _digits_oracle(x: int) -> int:
 class TestFactorizationAgainstDict:
     """The packed factorization, validated and _trusted builds, against a dict oracle."""
 
+    def test_one_value_stored_whole_or_as_a_prefix(self):
+        # 60 = 2^2 * 3 * 5. The validated build stores every exponent; this
+        # _trusted one stores that of 2 only, as lcm_range(6) does.
+        whole = PrimePowerFactorization([(2, 2), (3, 1), (5, 1)])
+        prefix = PrimePowerFactorization._trusted(array("I", [2, 3, 5]), [2])
+        assert list(prefix.items()) == list(whole.items()) == [(2, 2), (3, 1), (5, 1)]
+        assert whole == prefix and prefix == whole and hash(whole) == hash(prefix)
+        # The same primes at another exponent are another value.
+        assert whole != PrimePowerFactorization([(2, 1), (3, 1), (5, 1)])
+
     @given(_factor_dicts())
     @settings(deadline=None, max_examples=150)
     def test_both_builds_agree_with_the_dict(self, drawn):
